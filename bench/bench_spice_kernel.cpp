@@ -96,21 +96,19 @@ void BM_SparseLuRefactor(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseLuRefactor)->Arg(10)->Arg(20)->Arg(40);
 
-// ---- batched multi-point Newton (spice::BatchedNewton) ----
+// ---- Newton across adjacent sweep points ----
 //
 // A fig7-shaped workload: K adjacent sweep points of an NV-SRAM array power
 // domain (rows x cols cells, ~hundreds of MNA unknowns, so the solves take
-// the sparse KLU-style path), each lane a slightly different VDD trim, all
-// warm-started from a common operating point — exactly the shape of
-// neighboring points in the fig7/fig8 sweeps.  BM_ScalarNewtonSweep is the
-// reference: the same K points solved one at a time, each with its own
-// fresh workspace (one symbolic analysis per point, as a sweep point does
-// today).  BM_BatchedNewton carries them in lockstep: one shared analysis,
-// SoA device stamping, lane-interleaved refactor/solve.  Both report
-// points/s; the batched one also reports lane occupancy (the fraction of
-// lane-iterations spent in lockstep rather than peeled to scalar).
-struct BatchedDcWorkload {
-  explicit BatchedDcWorkload(std::size_t k) {
+// the sparse KLU-style path), each point a slightly different VDD trim, all
+// warm-started from a common operating point.  The points share a topology
+// and so a sparsity pattern.  BM_ScalarNewtonSweep gives every point a
+// fresh NewtonWorkspace (one symbolic analysis per point);
+// BM_SharedWorkspaceNewtonSweep carries one workspace across every point
+// and iteration, so the analysis runs once and each later solve only
+// refactors.  Both report points/s.
+struct SweepDcWorkload {
+  explicit SweepDcWorkload(std::size_t k) {
     sram::ArrayOptions aopts;
     aopts.rows = 4;
     aopts.cols = 8;
@@ -118,86 +116,45 @@ struct BatchedDcWorkload {
       auto pp = models::PaperParams::table1();
       pp.vdd += 1e-3 * static_cast<double>(l);  // adjacent sweep points
       tbs.push_back(std::make_unique<sram::ArrayTestbench>(pp, aopts));
-      circuits.push_back(&tbs.back()->circuit());
+      layouts.push_back(tbs.back()->circuit().build_layout());
     }
-    for (auto* c : circuits) layouts.push_back(c->build_layout());
-    for (auto& l : layouts) layout_ptrs.push_back(&l);
 
-    // Common warm start: lane 0's operating point, as neighboring sweep
+    // Common warm start: point 0's operating point, as neighboring sweep
     // points warm-start from each other.
     warm.assign(layouts[0].unknown_count(), 0.0);
     spice::RecoveryOptions recovery;
     recovery.source_ramp_from_zero = true;
     const auto r = spice::solve_newton_with_recovery(
-        *circuits[0], layouts[0], warm, /*time=*/0.0, /*dt=*/0.0, /*dc=*/true,
-        spice::IntegrationMethod::kBackwardEuler, opts, recovery);
+        tbs[0]->circuit(), layouts[0], warm, /*time=*/0.0, /*dt=*/0.0,
+        /*dc=*/true, spice::IntegrationMethod::kBackwardEuler, opts, recovery);
     warm_ok = r.converged;
   }
 
   std::vector<std::unique_ptr<sram::ArrayTestbench>> tbs;
-  std::vector<spice::Circuit*> circuits;
   std::vector<spice::MnaLayout> layouts;
-  std::vector<const spice::MnaLayout*> layout_ptrs;
   linalg::Vector warm;
   spice::NewtonOptions opts;
   bool warm_ok = false;
 };
 
-void BM_BatchedNewton(benchmark::State& state) {
+void run_newton_sweep(benchmark::State& state, bool shared_workspace) {
   const std::size_t k = static_cast<std::size_t>(state.range(0));
-  BatchedDcWorkload w(k);
+  SweepDcWorkload w(k);
   if (!w.warm_ok) {
     state.SkipWithError("warm-start solve failed");
     return;
   }
-  std::vector<linalg::Vector> xs(k);
-  std::vector<linalg::Vector*> x_ptrs(k);
-  for (std::size_t l = 0; l < k; ++l) x_ptrs[l] = &xs[l];
-
-  spice::BatchedNewton driver(w.circuits, w.layout_ptrs);
-  std::size_t solved = 0;
-  for (auto _ : state) {
-    for (std::size_t l = 0; l < k; ++l) xs[l] = w.warm;
-    const auto results = driver.solve(
-        x_ptrs, /*time=*/0.0, /*dt=*/0.0, /*dc=*/true,
-        spice::IntegrationMethod::kBackwardEuler, w.opts);
-    for (const auto& r : results) solved += r.converged ? 1 : 0;
-    benchmark::DoNotOptimize(results);
-  }
-  if (solved != k * static_cast<std::size_t>(state.iterations())) {
-    state.SkipWithError("a lane failed to converge");
-    return;
-  }
-  state.counters["points/s"] = benchmark::Counter(
-      static_cast<double>(k) * static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate);
-  const double lockstep =
-      static_cast<double>(driver.lockstep_iterations()) * static_cast<double>(k);
-  state.counters["lane_occupancy"] =
-      lockstep > 0.0 ? static_cast<double>(driver.lane_iterations()) / lockstep
-                     : 0.0;
-  state.SetLabel(std::to_string(w.layouts[0].unknown_count()) +
-                 " unknowns/lane, " + std::to_string(driver.peel_count()) +
-                 " peels");
-}
-BENCHMARK(BM_BatchedNewton)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_ScalarNewtonSweep(benchmark::State& state) {
-  const std::size_t k = static_cast<std::size_t>(state.range(0));
-  BatchedDcWorkload w(k);
-  if (!w.warm_ok) {
-    state.SkipWithError("warm-start solve failed");
-    return;
-  }
+  spice::NewtonWorkspace shared;
   linalg::Vector x;
   std::size_t solved = 0;
   for (auto _ : state) {
     for (std::size_t l = 0; l < k; ++l) {
       x = w.warm;
-      spice::NewtonWorkspace ws;  // fresh per point, as a sweep point today
+      spice::NewtonWorkspace fresh;
       const auto r = spice::solve_newton(
-          *w.circuits[l], w.layouts[l], x, /*time=*/0.0, /*dt=*/0.0,
-          /*dc=*/true, spice::IntegrationMethod::kBackwardEuler, w.opts, &ws);
+          w.tbs[l]->circuit(), w.layouts[l], x, /*time=*/0.0, /*dt=*/0.0,
+          /*dc=*/true, spice::IntegrationMethod::kBackwardEuler, w.opts,
+          shared_workspace ? &shared : &fresh);
       solved += r.converged ? 1 : 0;
       benchmark::DoNotOptimize(x);
     }
@@ -209,10 +166,23 @@ void BM_ScalarNewtonSweep(benchmark::State& state) {
   state.counters["points/s"] = benchmark::Counter(
       static_cast<double>(k) * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
-  state.SetLabel(std::to_string(w.layouts[0].unknown_count()) +
-                 " unknowns/point");
+  std::string label =
+      std::to_string(w.layouts[0].unknown_count()) + " unknowns/point";
+  if (shared_workspace) {
+    label += ", " + std::to_string(shared.analyze_count) + " analyses";
+  }
+  state.SetLabel(label);
+}
+
+void BM_ScalarNewtonSweep(benchmark::State& state) {
+  run_newton_sweep(state, /*shared_workspace=*/false);
 }
 BENCHMARK(BM_ScalarNewtonSweep)->Arg(1)->Arg(8);
+
+void BM_SharedWorkspaceNewtonSweep(benchmark::State& state) {
+  run_newton_sweep(state, /*shared_workspace=*/true);
+}
+BENCHMARK(BM_SharedWorkspaceNewtonSweep)->Arg(1)->Arg(8);
 
 void BM_NvCellDcOperatingPoint(benchmark::State& state) {
   sram::CellTestbench tb(sram::CellKind::kNvSram, models::PaperParams::table1(),

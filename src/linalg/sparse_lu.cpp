@@ -424,182 +424,6 @@ bool SparseLu::refactor(const CsrMatrix& a, double pivot_floor) {
   return true;
 }
 
-std::size_t SparseLu::refactor_lanes(const CsrMatrix* const* as, std::size_t k,
-                                     LaneValues& lv, double pivot_floor) const {
-  if (!analyzed_) {
-    throw std::logic_error("SparseLu::refactor_lanes before analyze");
-  }
-  if (k == 0 || k > kMaxLanes) {
-    throw std::invalid_argument("SparseLu::refactor_lanes lane count");
-  }
-  for (std::size_t l = 0; l < k; ++l) {
-    if (!pattern_matches(*as[l])) {
-      throw std::invalid_argument("SparseLu::refactor_lanes: pattern mismatch");
-    }
-  }
-  lv.k_ = k;
-  lv.l_values_.assign(l_col_.size() * k, 0.0);
-  lv.u_values_.assign(u_col_.size() * k, 0.0);
-  lv.work_.assign(n_ * k, 0.0);
-  lv.valid_.assign(k, 1);
-  lv.non_finite_.assign(k, 0);
-  lv.failed_pivot_.assign(k, kNoFailedPivot);
-  if (n_ == 0) return k;
-  lv.av_.resize(k);
-  for (std::size_t l = 0; l < k; ++l) lv.av_[l] = as[l]->values().data();
-
-  double* const X = lv.work_.data();
-  double* const LV = lv.l_values_.data();
-  double* const UV = lv.u_values_.data();
-
-  double xj[kMaxLanes];
-  double piv[kMaxLanes];
-  bool finite[kMaxLanes];
-
-  for (std::size_t col = 0; col < n_; ++col) {
-    // Scatter the original entries of column cperm_[col], all lanes.
-    for (std::size_t p = csc_ptr_[col]; p < csc_ptr_[col + 1]; ++p) {
-      double* const xr = X + csc_factor_row_[p] * k;
-      const std::size_t vp = csc_val_pos_[p];
-      for (std::size_t l = 0; l < k; ++l) xr[l] = lv.av_[l][vp];
-    }
-    // Eliminate with the already-final columns, ascending factor index.
-    // The skip-zero shortcut fires only when every lane's xj is zero; a
-    // lane with xj == 0 among nonzero lanes performs `-= l * 0` updates
-    // (the documented sign-of-zero deviation).
-    const std::size_t u_begin = u_row_ptr_[col];
-    const std::size_t u_diag = u_row_ptr_[col + 1] - 1;
-    for (std::size_t p = u_begin; p < u_diag; ++p) {
-      const std::size_t j = u_col_[p];
-      const double* const xjp = X + j * k;
-      bool any = false;
-      for (std::size_t l = 0; l < k; ++l) {
-        xj[l] = xjp[l];
-        any = any || xj[l] != 0.0;
-      }
-      if (!any) continue;
-      for (std::size_t q = l_row_ptr_[j] + 1; q < l_row_ptr_[j + 1]; ++q) {
-        double* const xr = X + l_col_[q] * k;
-        const double* const lq = LV + q * k;
-        for (std::size_t l = 0; l < k; ++l) xr[l] -= lq[l] * xj[l];
-      }
-    }
-    // Gather U (values above the diagonal, diagonal last) and L (unit
-    // diagonal, then scaled below-diagonal values); clear the workspace.
-    for (std::size_t l = 0; l < k; ++l) {
-      piv[l] = X[col * k + l];
-      finite[l] = std::isfinite(piv[l]);
-    }
-    for (std::size_t p = u_begin; p < u_diag; ++p) {
-      double* const xv = X + u_col_[p] * k;
-      double* const uvp = UV + p * k;
-      for (std::size_t l = 0; l < k; ++l) {
-        const double v = xv[l];
-        finite[l] = finite[l] && std::isfinite(v);
-        uvp[l] = v;
-        xv[l] = 0.0;
-      }
-    }
-    for (std::size_t l = 0; l < k; ++l) {
-      UV[u_diag * k + l] = piv[l];
-      X[col * k + l] = 0.0;
-    }
-    const std::size_t l_begin = l_row_ptr_[col];
-    for (std::size_t l = 0; l < k; ++l) LV[l_begin * k + l] = 1.0;
-    for (std::size_t q = l_begin + 1; q < l_row_ptr_[col + 1]; ++q) {
-      double* const xv = X + l_col_[q] * k;
-      double* const lvp = LV + q * k;
-      for (std::size_t l = 0; l < k; ++l) {
-        const double v = xv[l];
-        finite[l] = finite[l] && std::isfinite(v);
-        lvp[l] = v / piv[l];
-        xv[l] = 0.0;
-      }
-    }
-    // Latch the first failure per lane, mirroring the scalar verdict; the
-    // lane keeps streaming dead values so the loop stays uniform.
-    for (std::size_t l = 0; l < k; ++l) {
-      if (lv.failed_pivot_[l] != kNoFailedPivot) continue;
-      if (!finite[l]) {
-        lv.failed_pivot_[l] = col;
-        lv.non_finite_[l] = 1;
-        lv.valid_[l] = 0;
-      } else if (std::fabs(piv[l]) < pivot_floor) {
-        lv.failed_pivot_[l] = col;
-        lv.valid_[l] = 0;
-      }
-    }
-  }
-  std::size_t ok = 0;
-  for (std::size_t l = 0; l < k; ++l) ok += lv.valid_[l];
-  return ok;
-}
-
-void SparseLu::solve_lanes(LaneValues& lv, const Vector* const* bs,
-                           Vector* const* outs) const {
-  const std::size_t k = lv.k_;
-  if (k == 0) throw std::logic_error("SparseLu::solve_lanes before refactor_lanes");
-  for (std::size_t l = 0; l < k; ++l) {
-    if (lv.valid_[l] && bs[l]->size() != n_) {
-      throw std::invalid_argument("SparseLu::solve_lanes rhs size");
-    }
-  }
-  // y = P b per lane; invalid lanes stay zero so they never veto the
-  // all-lanes-zero skip below.
-  lv.y_.assign(n_ * k, 0.0);
-  double* const Y = lv.y_.data();
-  for (std::size_t l = 0; l < k; ++l) {
-    if (!lv.valid_[l]) continue;
-    const double* b = bs[l]->data();
-    for (std::size_t orig = 0; orig < n_; ++orig) Y[pinv_[orig] * k + l] = b[orig];
-  }
-  const double* const LV = lv.l_values_.data();
-  const double* const UV = lv.u_values_.data();
-  double xk[kMaxLanes];
-
-  // Forward solve L y' = y (unit diagonal stored first in each column).
-  for (std::size_t col = 0; col < n_; ++col) {
-    const double* const yk = Y + col * k;
-    bool any = false;
-    for (std::size_t l = 0; l < k; ++l) {
-      xk[l] = yk[l];
-      any = any || xk[l] != 0.0;
-    }
-    if (!any) continue;
-    for (std::size_t p = l_row_ptr_[col] + 1; p < l_row_ptr_[col + 1]; ++p) {
-      double* const yr = Y + l_col_[p] * k;
-      const double* const lp = LV + p * k;
-      for (std::size_t l = 0; l < k; ++l) yr[l] -= lp[l] * xk[l];
-    }
-  }
-  // Back solve U x = y' (diagonal stored last in each column).
-  for (std::size_t col = n_; col-- > 0;) {
-    const std::size_t diag = u_row_ptr_[col + 1] - 1;
-    const double* const ud = UV + diag * k;
-    double* const yk = Y + col * k;
-    bool any = false;
-    for (std::size_t l = 0; l < k; ++l) {
-      xk[l] = yk[l] / ud[l];
-      yk[l] = xk[l];
-      any = any || xk[l] != 0.0;
-    }
-    if (!any) continue;
-    for (std::size_t p = u_row_ptr_[col]; p < diag; ++p) {
-      double* const yr = Y + u_col_[p] * k;
-      const double* const up = UV + p * k;
-      for (std::size_t l = 0; l < k; ++l) yr[l] -= up[l] * xk[l];
-    }
-  }
-  // Undo the column permutation per valid lane.
-  for (std::size_t l = 0; l < k; ++l) {
-    if (!lv.valid_[l]) continue;
-    outs[l]->resize(n_);
-    for (std::size_t col = 0; col < n_; ++col) {
-      (*outs[l])[cperm_[col]] = Y[col * k + l];
-    }
-  }
-}
-
 Vector SparseLu::solve(const Vector& b) const {
   if (!valid_) throw std::logic_error("SparseLu::solve before factorize");
   if (b.size() != n_) throw std::invalid_argument("SparseLu::solve rhs size");

@@ -31,10 +31,6 @@ namespace nvsram::linalg {
 
 inline constexpr std::size_t kDenseCutoff = 160;
 
-// Upper bound on the lane count of refactor_lanes()/solve_lanes(); keeps
-// per-column lane scratch on the stack.
-inline constexpr std::size_t kMaxLanes = 16;
-
 class SparseLu {
  public:
   // Factorize A (CSR).  Returns false on structural or numerical
@@ -64,52 +60,6 @@ class SparseLu {
   bool structurally_singular() const { return structurally_singular_; }
 
   Vector solve(const Vector& b) const;
-
-  // ---- lockstep multi-lane numeric API ----
-  // K same-pattern matrices factor in lockstep over one analysis: the
-  // shared symbolic index structure is walked once per column with a
-  // vectorizable lane-inner loop over interleaved per-lane values (entry q
-  // of lane l lives at q * K + l, so the lane loop covers contiguous
-  // doubles).  Per lane the arithmetic sequence equals refactor()/solve()
-  // exactly, so lane results are bit-identical to the scalar path — except
-  // that entries whose exact value is 0.0 may differ in the sign of the
-  // zero: a lane does not take the skip-zero shortcut when another lane's
-  // value is nonzero, and the resulting `x -= l * (+-0)` updates can flip
-  // the sign of an exactly-zero accumulator.  `==` comparisons (and all
-  // downstream arithmetic here) cannot distinguish the two.
-  //
-  // Holds the per-lane numeric factors and workspaces; reusable across
-  // refactor_lanes() calls (buffers keep their capacity).
-  class LaneValues {
-   public:
-    std::size_t lanes() const { return k_; }
-    bool valid(std::size_t lane) const { return valid_[lane] != 0; }
-    // After a failed lane: the column that gave up and whether it failed on
-    // a NaN/Inf value (mirrors failed_pivot()/non_finite()).
-    std::size_t failed_pivot(std::size_t lane) const { return failed_pivot_[lane]; }
-    bool non_finite(std::size_t lane) const { return non_finite_[lane] != 0; }
-
-   private:
-    friend class SparseLu;
-    std::size_t k_ = 0;
-    std::vector<double> l_values_, u_values_, work_, y_;
-    std::vector<unsigned char> valid_, non_finite_;
-    std::vector<std::size_t> failed_pivot_;
-    std::vector<const double*> av_;
-  };
-
-  // Lockstep numeric refactorization of `k` matrices (each must satisfy
-  // pattern_matches()) over the current analysis.  A lane whose pivot fails
-  // is marked invalid on `lv` and masked from further use while the other
-  // lanes continue; returns the number of lanes that factored successfully.
-  // Does not disturb the scalar refactor()/solve() state.
-  std::size_t refactor_lanes(const CsrMatrix* const* as, std::size_t k,
-                             LaneValues& lv, double pivot_floor = 1e-300) const;
-
-  // Lockstep triangular solves over lane factors: *outs[l] = A_l^{-1} *bs[l]
-  // for every valid lane (invalid lanes leave *outs[l] untouched).
-  void solve_lanes(LaneValues& lv, const Vector* const* bs,
-                   Vector* const* outs) const;
 
   bool valid() const { return valid_; }
   std::size_t dimension() const { return n_; }

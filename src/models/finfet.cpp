@@ -132,11 +132,6 @@ FinFETOutput FinFET::evaluate(double vgs, double vds) const {
   return out;
 }
 
-void FinFET::evaluate_many(const double* vgs, const double* vds, std::size_t n,
-                           FinFETOutput* out) const {
-  for (std::size_t i = 0; i < n; ++i) out[i] = evaluate(vgs[i], vds[i]);
-}
-
 double FinFET::on_current() const {
   const double s = (params_.type == FetType::kNmos) ? 1.0 : -1.0;
   return std::fabs(evaluate(s * vdd_ref, s * vdd_ref).ids);

@@ -22,7 +22,6 @@
 // W_fin = 2 * H_fin + T_fin, multiplied by the fin count.
 #pragma once
 
-#include <cstddef>
 #include <string>
 
 namespace nvsram::models {
@@ -67,10 +66,6 @@ struct FinFETParams {
   double cgd() const;
   double cjunction() const;
 
-  // Memberwise equality; the batched stamping path uses it to detect lanes
-  // that share one parameter set (and so one evaluate_many() call).
-  bool operator==(const FinFETParams&) const = default;
-
   std::string describe() const;
 };
 
@@ -91,12 +86,6 @@ class FinFET {
   // relative to the source convention of the *netlist* (i.e. Vgs, Vds may be
   // any sign; the model handles source/drain swap and PMOS internally).
   FinFETOutput evaluate(double vgs, double vds) const;
-
-  // Lane-batched evaluation for the structure-of-arrays stamping path:
-  // out[i] = evaluate(vgs[i], vds[i]).  Runs the scalar core per lane, so
-  // every lane's result is bit-identical to the corresponding scalar call.
-  void evaluate_many(const double* vgs, const double* vds, std::size_t n,
-                     FinFETOutput* out) const;
 
   // Convenience scalars.
   double ids(double vgs, double vds) const { return evaluate(vgs, vds).ids; }

@@ -74,11 +74,6 @@ MTJ::IV MTJ::current(MtjState state, double voltage) const {
   return {current, conductance};
 }
 
-void MTJ::current_many(MtjState state, const double* voltage, std::size_t n,
-                       IV* out) const {
-  for (std::size_t i = 0; i < n; ++i) out[i] = current(state, voltage[i]);
-}
-
 bool MTJ::polarity_drives_switch(MtjState from, double current) {
   // Positive current (pinned -> free): AP -> P.  Negative: P -> AP.
   if (from == MtjState::kAntiparallel) return current > 0.0;

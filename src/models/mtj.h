@@ -24,7 +24,6 @@
 // pinned -> free) drives P -> AP.
 #pragma once
 
-#include <cstddef>
 #include <string>
 
 namespace nvsram::models {
@@ -51,9 +50,6 @@ struct MTJParams {
   double rap0() const;            // antiparallel resistance at zero bias
   double critical_current() const;  // Ic = jc * area
 
-  // Memberwise equality; the batched stamping path uses it to detect lanes
-  // that share one parameter set (and so one current_many() call).
-  bool operator==(const MTJParams&) const = default;
 
   std::string describe() const;
 };
@@ -77,12 +73,6 @@ class MTJ {
     double conductance;  // dI/dV
   };
   IV current(MtjState state, double voltage) const;
-
-  // Lane-batched form for the structure-of-arrays stamping path:
-  // out[i] = current(state, voltage[i]); every lane's result is
-  // bit-identical to the corresponding scalar call.
-  void current_many(MtjState state, const double* voltage, std::size_t n,
-                    IV* out) const;
 
   // Deterministic switching time for a constant overdrive current; +inf if
   // |current| <= Ic or the polarity opposes the transition.

@@ -169,20 +169,17 @@ ReadStatus read_frame(int fd, Frame& out) {
 #endif
 }
 
-std::vector<std::uint8_t> encode_request(std::uint64_t begin,
-                                         std::uint64_t count) {
+std::vector<std::uint8_t> encode_request(std::uint64_t index) {
   std::vector<std::uint8_t> out;
-  put_u64(out, begin);
-  put_u64(out, count);
+  put_u64(out, index);
   return out;
 }
 
 bool decode_request(const std::vector<std::uint8_t>& payload,
-                    std::uint64_t& begin, std::uint64_t& count) {
+                    std::uint64_t& index) {
   Reader r{payload};
-  begin = r.u64();
-  count = r.u64();
-  return r.ok && r.pos == payload.size() && count > 0;
+  index = r.u64();
+  return r.ok && r.pos == payload.size();
 }
 
 std::vector<std::uint8_t> encode_result(const PointResult& res) {

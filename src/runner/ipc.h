@@ -7,11 +7,8 @@
 //   ...  payload
 //
 // Frame types and payloads:
-//   REQUEST    supervisor -> worker: u64 begin index + u64 count — a group
-//              of `count` adjacent points starting at `begin` (count is 1
-//              unless RunnerOptions::batch > 1).  The worker computes the
-//              group (batched fast path or the per-point attempt loop) and
-//              answers with one RESULT per point, in ascending index order.
+//   REQUEST    supervisor -> worker: u64 point index.  The worker runs the
+//              point's attempt loop and answers with one RESULT.
 //   RESULT     worker -> supervisor: a serialized PointResult.  Doubles
 //              travel as raw IEEE-754 bits, so the committed CSV is
 //              bit-identical to an in-process run.
@@ -70,11 +67,10 @@ ReadStatus read_frame(int fd, Frame& out);
 
 // ---- payload codecs ----
 
-std::vector<std::uint8_t> encode_request(std::uint64_t begin,
-                                         std::uint64_t count);
-// Returns false when the payload is malformed (wrong size or count == 0).
+std::vector<std::uint8_t> encode_request(std::uint64_t index);
+// Returns false when the payload is malformed (wrong size).
 bool decode_request(const std::vector<std::uint8_t>& payload,
-                    std::uint64_t& begin, std::uint64_t& count);
+                    std::uint64_t& index);
 
 std::vector<std::uint8_t> encode_result(const PointResult& res);
 bool decode_result(const std::vector<std::uint8_t>& payload, PointResult& res);

@@ -9,7 +9,6 @@
 #include <deque>
 #include <fstream>
 #include <map>
-#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -39,8 +38,8 @@ bool available() {
 #if defined(_WIN32)
 
 void run(const std::string&, const RunnerOptions&, std::size_t,
-         const SweepRunner::PointFn&, const SweepRunner::BatchPointFn&,
-         std::size_t, Committer&, RunSummary&, bool&) {
+         const SweepRunner::PointFn&, std::size_t, Committer&, RunSummary&,
+         bool&) {
   throw RunnerError("process isolation is unavailable on this platform");
 }
 
@@ -77,9 +76,7 @@ struct WorkerSlot {
   int req_fd = -1;  // supervisor -> worker (REQUEST)
   int res_fd = -1;  // worker -> supervisor (RESULT / HEARTBEAT / CRASH)
   bool busy = false;
-  std::size_t point = 0;     // first point of the in-flight group
-  std::size_t count = 1;     // group width
-  std::size_t received = 0;  // results streamed back so far
+  std::size_t point = 0;   // the in-flight point
   int deaths = 0;          // drives the respawn backoff schedule
   double spawn_at = 0.0;   // monotonic time when (re)spawning is allowed
   double activity_at = 0.0;  // last frame received or point assigned
@@ -99,9 +96,8 @@ std::string read_breadcrumb_file(const std::string& path) {
 // _Exit keeps the child away from the parent's atexit handlers and
 // buffered streams (both inherited by fork).
 [[noreturn]] void worker_main(const RunnerOptions& options,
-                              const SweepRunner::PointFn& fn,
-                              const SweepRunner::BatchPointFn& batch_fn,
-                              int req_fd, int res_fd, int slot,
+                              const SweepRunner::PointFn& fn, int req_fd,
+                              int res_fd, int slot,
                               const std::string& crumb_path) {
   const int crumb_fd =
       ::open(crumb_path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
@@ -133,22 +129,12 @@ std::string read_breadcrumb_file(const std::string& path) {
         frame.type != ipc::FrameType::kRequest) {
       break;  // EOF (supervisor gone / shutdown) or protocol damage
     }
-    std::uint64_t begin = 0;
-    std::uint64_t count = 0;
-    if (!ipc::decode_request(frame.payload, begin, count)) break;
-    // Results stream back one frame per point as they become final, so a
-    // death mid-group leaves the supervisor an exact received prefix to
-    // attribute the crash with.
-    bool pipe_ok = true;
-    detail::solve_group(
-        options, static_cast<std::size_t>(begin),
-        static_cast<std::size_t>(count), slot, fn, batch_fn, heartbeat_sleep,
-        [&](PointResult res) {
-          if (!pipe_ok) return;
-          const auto payload = ipc::encode_result(res);
-          pipe_ok = ipc::write_frame(res_fd, ipc::FrameType::kResult,
-                                     payload.data(), payload.size());
-        });
+    std::uint64_t index = 0;
+    if (!ipc::decode_request(frame.payload, index)) break;
+    const auto payload = ipc::encode_result(detail::solve_point(
+        options, static_cast<std::size_t>(index), slot, fn, heartbeat_sleep));
+    const bool pipe_ok = ipc::write_frame(res_fd, ipc::FrameType::kResult,
+                                          payload.data(), payload.size());
     util::breadcrumb::set_idle();
     if (!pipe_ok) break;
   }
@@ -159,15 +145,11 @@ class Supervisor {
  public:
   Supervisor(std::string name, const RunnerOptions& options,
              std::size_t n_points, const SweepRunner::PointFn& fn,
-             const SweepRunner::BatchPointFn& batch_fn, std::size_t n_workers,
-             Committer& committer, RunSummary& summary)
+             std::size_t n_workers, Committer& committer, RunSummary& summary)
       : name_(std::move(name)),
         options_(options),
         n_points_(n_points),
         fn_(fn),
-        batch_fn_(batch_fn),
-        batch_(options.batch > 1 ? static_cast<std::size_t>(options.batch)
-                                 : 1),
         committer_(committer),
         summary_(summary),
         hang_deadline_(hang_deadline_seconds(options)),
@@ -255,8 +237,8 @@ class Supervisor {
       }
       ::close(req[1]);
       ::close(res[0]);
-      worker_main(options_, fn_, batch_fn_, req[0], res[1],
-                  static_cast<int>(w), s.crumb_path);
+      worker_main(options_, fn_, req[0], res[1], static_cast<int>(w),
+                  s.crumb_path);
     }
     // Parent.
     ::close(req[0]);
@@ -294,32 +276,16 @@ class Supervisor {
       // the others filled the buffer would deadlock the sweep.
       if (ready_.size() >= ready_cap_ && queue_.front() != next_commit_) break;
       const std::size_t index = queue_.front();
-      // Lane group: consecutive queued points up to the batch width.
-      // Crash-retried points are forced to singleton assignments (the
-      // per-point loop), so a point that died inside the batched fast path
-      // is re-tried — and, if it keeps killing workers, poisoned — exactly
-      // as it would be at batch = 1.
-      std::size_t count = 1;
-      if (batch_ > 1 && singleton_.find(index) == singleton_.end()) {
-        while (count < batch_ && count < queue_.size() &&
-               queue_[count] == index + count &&
-               singleton_.find(index + count) == singleton_.end()) {
-          ++count;
-        }
-      }
-      const auto payload = ipc::encode_request(index, count);
+      const auto payload = ipc::encode_request(index);
       if (!ipc::write_frame(s.req_fd, ipc::FrameType::kRequest, payload.data(),
                             payload.size())) {
         // Worker already dead: its EOF will be handled by the poll loop.
         ::kill(s.pid, SIGKILL);
         continue;
       }
-      queue_.erase(queue_.begin(),
-                   queue_.begin() + static_cast<std::ptrdiff_t>(count));
+      queue_.pop_front();
       s.busy = true;
       s.point = index;
-      s.count = count;
-      s.received = 0;
       s.activity_at = monotonic_seconds();
       s.hang_killed = false;
     }
@@ -361,19 +327,7 @@ class Supervisor {
       if (crumb.empty()) crumb = "(no breadcrumb)";
       const std::string described =
           cause.str() + " [breadcrumb: " + crumb + "]";
-      // Results stream back per point, so the first point whose RESULT
-      // never arrived is the one being computed when the worker died.
-      const std::size_t culprit = s.point + s.received;
-      // The un-received remainder of the group was collateral, not the
-      // culprit: requeue it ahead of everything else (in order, behind the
-      // culprit) and force every un-received point through singleton
-      // per-point retries — a crash inside the batched fast path must not
-      // be able to take the same bystanders down twice.
-      for (std::size_t p = s.point + s.count; p-- > culprit + 1;) {
-        queue_.push_front(p);
-        singleton_.insert(p);
-      }
-      singleton_.insert(culprit);
+      const std::size_t culprit = s.point;
       const int deaths = ++crash_count_[culprit];
       if (deaths >= kCrashesBeforePoison) {
         util::log_warn() << "sweep " << name_ << ": point " << culprit
@@ -422,7 +376,7 @@ class Supervisor {
         break;
       case ipc::FrameType::kResult: {
         PointResult res;
-        const std::size_t expected = s.point + s.received;
+        const std::size_t expected = s.point;
         if (!ipc::decode_result(frame.payload, res) || !s.busy ||
             res.outcome.index != expected) {
           ::kill(s.pid, SIGKILL);
@@ -437,7 +391,7 @@ class Supervisor {
           res.outcome.status = PointStatus::kRecovered;
         }
         ready_.emplace(expected, std::move(res));
-        if (++s.received == s.count) s.busy = false;
+        s.busy = false;
         break;
       }
       case ipc::FrameType::kRequest:
@@ -552,8 +506,6 @@ class Supervisor {
   const RunnerOptions& options_;
   std::size_t n_points_;
   const SweepRunner::PointFn& fn_;
-  const SweepRunner::BatchPointFn& batch_fn_;
-  std::size_t batch_;
   Committer& committer_;
   RunSummary& summary_;
   double hang_deadline_;
@@ -561,7 +513,6 @@ class Supervisor {
 
   std::vector<WorkerSlot> slots_;
   std::deque<std::size_t> queue_;            // fresh points, in order
-  std::set<std::size_t> singleton_;          // crash retries: assign alone
   std::map<std::size_t, PointResult> ready_; // reorder buffer
   std::map<std::size_t, int> crash_count_;   // worker deaths per point
   std::size_t next_commit_ = 0;
@@ -572,10 +523,9 @@ class Supervisor {
 
 void run(const std::string& name, const RunnerOptions& options,
          std::size_t n_points, const SweepRunner::PointFn& fn,
-         const SweepRunner::BatchPointFn& batch_fn, std::size_t n_workers,
-         Committer& committer, RunSummary& summary, bool& stopped) {
-  Supervisor sup(name, options, n_points, fn, batch_fn, n_workers, committer,
-                 summary);
+         std::size_t n_workers, Committer& committer, RunSummary& summary,
+         bool& stopped) {
+  Supervisor sup(name, options, n_points, fn, n_workers, committer, summary);
   stopped = sup.run();
 }
 

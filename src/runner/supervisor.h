@@ -36,19 +36,13 @@ bool available();
 
 // Runs the sweep's fresh points on up to `n_workers` supervised worker
 // subprocesses; resumed points are replayed through the committer in
-// order, interleaved exactly as the in-process paths do.  With
-// RunnerOptions::batch > 1, groups of adjacent pending points are assigned
-// as one REQUEST and the worker streams back one RESULT per point, so a
-// mid-group crash is attributed to the first point whose result never
-// arrived; the un-received remainder is requeued as singleton (per-point)
-// assignments, which keeps crash containment and poisoning per-point even
-// when the batched fast path is the thing that died.  Sets `stopped`
+// order, interleaved exactly as the in-process paths do.  Sets `stopped`
 // when the committer stopped the sweep (stop drill or harness error).
 // Throws RunnerError for unrecoverable harness faults (e.g. fork failing
 // persistently with work still pending).
 void run(const std::string& name, const RunnerOptions& options,
          std::size_t n_points, const SweepRunner::PointFn& fn,
-         const SweepRunner::BatchPointFn& batch_fn, std::size_t n_workers,
-         Committer& committer, RunSummary& summary, bool& stopped);
+         std::size_t n_workers, Committer& committer, RunSummary& summary,
+         bool& stopped);
 
 }  // namespace nvsram::runner::supervisor

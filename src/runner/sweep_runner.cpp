@@ -221,9 +221,6 @@ void RunnerOptions::apply_env(const std::string& runner_name) {
     threads =
         static_cast<int>(parse_env_int("NVSRAM_SWEEP_THREADS", v, 0, 4096));
   }
-  if (const char* v = std::getenv("NVSRAM_SWEEP_BATCH")) {
-    batch = static_cast<int>(parse_env_int("NVSRAM_SWEEP_BATCH", v, 1, 64));
-  }
   if (const char* v = std::getenv("NVSRAM_SWEEP_ISOLATION")) {
     const std::string text(v);
     if (text == "none") {
@@ -277,7 +274,6 @@ std::string RunSummary::describe() const {
   } else if (threads > 1) {
     os << " on " << threads << " threads";
   }
-  if (batch > 1) os << " (batch " << batch << ")";
   if (resumed) os << " (" << resumed << " resumed from checkpoint)";
   if (failed) {
     os << ", " << failed << " FAILED";
@@ -376,63 +372,6 @@ PointResult solve_point(const RunnerOptions& options, std::size_t index,
   return res;
 }
 
-void solve_group(const RunnerOptions& options, std::size_t begin,
-                 std::size_t count, int worker, const SweepRunner::PointFn& fn,
-                 const SweepRunner::BatchPointFn& batch_fn,
-                 const std::function<void(double)>& sleep_ms,
-                 const std::function<void(PointResult)>& emit) {
-  // A drill point must go through solve_point (that is where the fault
-  // injection lives), so any group containing one skips the batched path
-  // entirely — per-point execution is the byte-identity reference anyway.
-  const bool drill_inside =
-      options.fault_point >= 0 &&
-      static_cast<std::size_t>(options.fault_point) >= begin &&
-      static_cast<std::size_t>(options.fault_point) < begin + count;
-  if (batch_fn && count > 1 && !drill_inside) {
-    const auto t0 = std::chrono::steady_clock::now();
-    if (options.point_spin_ms > 0.0) {
-      spin_for_ms(options.point_spin_ms * static_cast<double>(count));
-    }
-    util::breadcrumb::set_point(begin, 0);
-    PointContext ctx;
-    ctx.index = begin;
-    ctx.attempt = 0;
-    ctx.max_attempts = options.max_attempts;
-    ctx.timeout_sec = options.point_timeout_sec;
-    ctx.worker = worker;
-    try {
-      std::vector<Rows> rows = batch_fn(ctx, count);
-      if (rows.size() == count) {
-        const double secs =
-            seconds_since(t0) / static_cast<double>(count);
-        for (std::size_t i = 0; i < count; ++i) {
-          PointResult res;
-          res.outcome.index = begin + i;
-          res.outcome.status = PointStatus::kOk;
-          res.outcome.attempts = 1;
-          res.outcome.seconds = secs;
-          res.rows = std::move(rows[i]);
-          res.succeeded = true;
-          emit(std::move(res));
-        }
-        return;
-      }
-      util::log_warn() << "sweep batch: batch_fn returned " << rows.size()
-                       << " results for a group of " << count
-                       << "; falling back to per-point execution";
-    } catch (const std::exception&) {
-      // Any batched failure — one diverging lane, a watchdog expiry, a
-      // harness hiccup — peels the whole group to the per-point loop,
-      // which retries, times out, and records each point exactly as a
-      // batch = 1 run would.
-    } catch (...) {
-    }
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    emit(solve_point(options, begin + i, worker, fn, sleep_ms));
-  }
-}
-
 }  // namespace detail
 
 SweepRunner::SweepRunner(std::string name, RunnerOptions options)
@@ -446,8 +385,7 @@ SweepRunner::SweepRunner(std::string name, RunnerOptions options)
   if (options_.max_attempts < 1) options_.max_attempts = 1;
 }
 
-RunSummary SweepRunner::run(std::size_t n_points, const PointFn& fn,
-                            const BatchPointFn& batch_fn) {
+RunSummary SweepRunner::run(std::size_t n_points, const PointFn& fn) {
   const auto run_t0 = std::chrono::steady_clock::now();
 
   // Fault kinds that kill or wedge their executor are only containable in a
@@ -492,43 +430,23 @@ RunSummary SweepRunner::run(std::size_t n_points, const PointFn& fn,
       n_points > done.size() ? n_points - done.size() : 0;
   threads = std::min(threads, std::max<std::size_t>(fresh, 1));
   summary.threads = static_cast<int>(threads);
-  const std::size_t batch =
-      options_.batch > 1 ? static_cast<std::size_t>(options_.batch) : 1;
-  summary.batch = static_cast<int>(batch);
 
   Committer committer(name_, options_, summary, std::move(done));
 
   bool stopped = false;
   if (isolation == Isolation::kProcess) {
-    supervisor::run(name_, options_, n_points, fn, batch_fn, threads,
-                    committer, summary, stopped);
+    supervisor::run(name_, options_, n_points, fn, threads, committer, summary,
+                    stopped);
   } else if (threads <= 1) {
-    for (std::size_t i = 0; i < n_points && !stopped;) {
+    for (std::size_t i = 0; i < n_points && !stopped; ++i) {
       if (committer.is_resumed(i)) {
         committer.commit_resumed(i);
-        ++i;
         continue;
       }
-      // Lane group: the run of consecutive fresh points starting here.
-      std::size_t count = 1;
-      while (count < batch && i + count < n_points &&
-             !committer.is_resumed(i + count)) {
-        ++count;
+      if (!committer.commit(i, detail::solve_point(options_, i, /*worker=*/0,
+                                                   fn))) {
+        stopped = true;
       }
-      std::vector<PointResult> results;
-      results.reserve(count);
-      detail::solve_group(options_, i, count, /*worker=*/0, fn, batch_fn, {},
-                          [&](PointResult r) { results.push_back(std::move(r)); });
-      for (auto& res : results) {
-        const std::size_t index = res.outcome.index;
-        if (!committer.commit(index, std::move(res))) {
-          // Results past the stop point are discarded uncommitted, exactly
-          // as a batch = 1 run would never have computed them.
-          stopped = true;
-          break;
-        }
-      }
-      i += count;
     }
   } else {
     // Worker pool with an in-order reorder buffer: workers pull fresh point
@@ -540,20 +458,6 @@ RunSummary SweepRunner::run(std::size_t n_points, const PointFn& fn,
     pending.reserve(fresh);
     for (std::size_t i = 0; i < n_points; ++i) {
       if (!committer.is_resumed(i)) pending.push_back(i);
-    }
-
-    // Lane groups: runs of consecutive pending indices, chunked to the
-    // batch width.  Identical formation to the serial and supervised paths,
-    // so the batched fast path sees the same groups at any pool size.
-    std::vector<std::pair<std::size_t, std::size_t>> groups;  // (begin, count)
-    for (std::size_t k = 0; k < pending.size();) {
-      std::size_t count = 1;
-      while (count < batch && k + count < pending.size() &&
-             pending[k + count] == pending[k] + count) {
-        ++count;
-      }
-      groups.emplace_back(pending[k], count);
-      k += count;
     }
 
     std::mutex mu;
@@ -578,19 +482,12 @@ RunSummary SweepRunner::run(std::size_t n_points, const PointFn& fn,
           if (stop.load(std::memory_order_relaxed)) return;
           const std::size_t k =
               cursor.fetch_add(1, std::memory_order_relaxed);
-          if (k >= groups.size()) return;
-          std::vector<PointResult> results;
-          results.reserve(groups[k].second);
-          detail::solve_group(
-              options_, groups[k].first, groups[k].second,
-              static_cast<int>(w), fn, batch_fn, {},
-              [&](PointResult r) { results.push_back(std::move(r)); });
+          if (k >= pending.size()) return;
+          PointResult res = detail::solve_point(options_, pending[k],
+                                                static_cast<int>(w), fn);
           {
             std::lock_guard<std::mutex> lock(mu);
-            for (auto& res : results) {
-              const std::size_t index = res.outcome.index;
-              ready.emplace(index, std::move(res));
-            }
+            ready.emplace(pending[k], std::move(res));
           }
           cv.notify_all();
         }

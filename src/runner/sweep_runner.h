@@ -118,18 +118,6 @@ struct RunnerOptions {
   // callbacks already guarantee for thread-safety.
   Isolation isolation = Isolation::kNone;
 
-  // Lane-group width for the batched solve path (NVSRAM_SWEEP_BATCH).
-  // Groups of up to `batch` adjacent fresh points are handed to the sweep's
-  // BatchPointFn (when one is supplied to run()) so it can carry them in
-  // lockstep through spice::BatchedNewton; every worker backend forms the
-  // same groups from consecutive pending indices.  Points the batched path
-  // cannot take — drill points, group remainders, points whose batch
-  // attempt failed — peel off to the per-point attempt loop, so the CSV,
-  // checkpoint, and failure manifest stay byte-identical to batch = 1 (the
-  // batched solver is bit-identical to the scalar one by contract; see
-  // src/spice/newton.h).  1 disables grouping.
-  int batch = 1;
-
   // Process-isolation tuning (ignored under Isolation::kNone):
   //   * heartbeat_timeout_sec: a worker silent this long while holding an
   //     in-flight point is presumed hung and SIGKILLed.  0 derives the
@@ -170,7 +158,6 @@ struct RunnerOptions {
   //   NVSRAM_SWEEP_RETRIES=N           attempts per point
   //   NVSRAM_SWEEP_BACKOFF_MS=MS       retry backoff base (0 = immediate)
   //   NVSRAM_SWEEP_THREADS=N           worker-pool size (0 = auto, 1 = serial)
-  //   NVSRAM_SWEEP_BATCH=K             lane-group width (1 = no batching)
   //   NVSRAM_SWEEP_ISOLATION=none|process   execution mode
   //   NVSRAM_SWEEP_HEARTBEAT=SECONDS   hang-containment deadline override
   //   NVSRAM_SWEEP_RLIMIT_MB=MB        per-worker RLIMIT_AS
@@ -236,7 +223,6 @@ struct RunSummary {
   std::size_t poisoned = 0; // points quarantined after killing two workers
   bool interrupted = false;  // stop_after_point fired
   int threads = 1;           // worker-pool size actually used
-  int batch = 1;             // lane-group width actually used
   bool process_isolated = false;  // workers were subprocesses
   int respawns = 0;          // worker subprocesses respawned after death
   double wall_seconds = 0.0; // wall-clock time of the whole sweep
@@ -257,19 +243,6 @@ class SweepRunner {
   // only touch per-point state (results are still committed in order).
   using PointFn = std::function<Rows(const PointContext&)>;
 
-  // Batched counterpart: computes `count` adjacent points starting at
-  // first.index in one call (first.attempt is always 0) and returns one
-  // Rows per point, in index order.  The contract that makes
-  // RunnerOptions::batch output-invariant: for every point the returned
-  // rows must be bit-identical to what PointFn would produce, and the
-  // callback must throw if ANY point in the group fails — the whole group
-  // then re-runs through the per-point attempt loop, which is the
-  // reference path.  Sweeps built on spice::BatchedNewton /
-  // spice::solve_dc_lanes satisfy this for free.
-  using BatchPointFn =
-      std::function<std::vector<Rows>(const PointContext& first,
-                                      std::size_t count)>;
-
   SweepRunner(std::string name, RunnerOptions options);
 
   const std::string& name() const { return name_; }
@@ -280,12 +253,8 @@ class SweepRunner {
   // size or isolation mode.  Never throws for per-point failures (they are
   // recorded); throws RunnerError / std::runtime_error only for
   // harness-level problems (unwritable CSV/checkpoint, bad row widths,
-  // fault kinds that need isolation).  When `batch_fn` is supplied and
-  // options().batch > 1, groups of adjacent fresh points go through it
-  // first (see BatchPointFn); without one, batch > 1 still forms groups
-  // but every point runs the per-point loop.
-  RunSummary run(std::size_t n_points, const PointFn& fn,
-                 const BatchPointFn& batch_fn = {});
+  // fault kinds that need isolation).
+  RunSummary run(std::size_t n_points, const PointFn& fn);
 
  private:
   std::string name_;
@@ -314,20 +283,6 @@ double respawn_backoff_ms(const RunnerOptions& options, int slot, int respawn);
 PointResult solve_point(const RunnerOptions& options, std::size_t index,
                         int worker, const SweepRunner::PointFn& fn,
                         const std::function<void(double)>& sleep_ms = {});
-
-// Runs the group of `count` adjacent points starting at `begin`, emitting
-// one PointResult per point in index order.  A group of 2+ points with a
-// batch_fn and no drill point inside tries the batched path once; on any
-// batch failure (throw, wrong result count) every point of the group falls
-// back to solve_point, so the emitted outcomes — statuses, attempt counts,
-// backoff schedules, rows — are exactly what batch = 1 would produce.
-// `emit` is called as each result becomes final (workers stream them over
-// the pipe so crash attribution stays per-point).
-void solve_group(const RunnerOptions& options, std::size_t begin,
-                 std::size_t count, int worker, const SweepRunner::PointFn& fn,
-                 const SweepRunner::BatchPointFn& batch_fn,
-                 const std::function<void(double)>& sleep_ms,
-                 const std::function<void(PointResult)>& emit);
 
 }  // namespace detail
 

@@ -46,51 +46,6 @@ std::optional<DCSolution> DCAnalysis::solve(const linalg::Vector* initial_guess)
   return DCSolution(std::move(x), layout_);
 }
 
-std::vector<std::optional<DCSolution>> solve_dc_lanes(
-    const std::vector<Circuit*>& circuits, const DCOptions& options,
-    const std::vector<const linalg::Vector*>* initial_guesses) {
-  const std::size_t k = circuits.size();
-  std::vector<MnaLayout> layouts;
-  layouts.reserve(k);
-  std::vector<const MnaLayout*> layout_ptrs(k);
-  for (std::size_t l = 0; l < k; ++l) {
-    layouts.push_back(circuits[l]->build_layout());
-  }
-  for (std::size_t l = 0; l < k; ++l) layout_ptrs[l] = &layouts[l];
-
-  std::vector<linalg::Vector> xs(k);
-  std::vector<linalg::Vector*> x_ptrs(k);
-  for (std::size_t l = 0; l < k; ++l) {
-    xs[l].assign(layouts[l].unknown_count(), 0.0);
-    if (initial_guesses && (*initial_guesses)[l] &&
-        (*initial_guesses)[l]->size() == xs[l].size()) {
-      xs[l] = *(*initial_guesses)[l];
-    }
-    x_ptrs[l] = &xs[l];
-  }
-
-  RecoveryOptions recovery = options.recovery;
-  recovery.source_ramp_from_zero = true;
-
-  BatchedNewton driver(circuits, layout_ptrs);
-  const util::Deadline deadline(options.max_wall_seconds);
-  const std::vector<NewtonResult> results = driver.solve_with_recovery(
-      x_ptrs, /*time=*/0.0, /*dt=*/0.0, /*dc=*/true,
-      IntegrationMethod::kBackwardEuler, options.newton, recovery,
-      deadline.unlimited() ? nullptr : &deadline);
-
-  std::vector<std::optional<DCSolution>> out(k);
-  for (std::size_t l = 0; l < k; ++l) {
-    if (!results[l].converged) {
-      util::log_warn() << "DC (lane " << l << "): no operating point: "
-                       << results[l].diagnostics.describe();
-      continue;
-    }
-    out[l].emplace(std::move(xs[l]), layouts[l]);
-  }
-  return out;
-}
-
 DCSweep::DCSweep(Circuit& circuit, std::function<void(double)> setter,
                  std::vector<double> points, std::vector<Probe> probes,
                  DCOptions options)

@@ -65,18 +65,6 @@ class DCAnalysis {
   NewtonWorkspace ws_;
 };
 
-// Lockstep DC operating points over per-lane clones of one netlist, through
-// the batched Newton driver (BatchedNewton in spice/newton.h): one shared
-// symbolic analysis, structure-of-arrays stamping and refactorization.
-// out[l] is nullopt where lane l found no operating point.  Every lane's
-// solution is bit-identical to DCAnalysis::solve() on that lane alone
-// (lanes that cannot stay in lockstep peel to the scalar path internally).
-// `initial_guesses` (optional, per lane, entries may be nullptr) warm-start
-// Newton; DCOptions::max_wall_seconds bounds the whole batch.
-std::vector<std::optional<DCSolution>> solve_dc_lanes(
-    const std::vector<Circuit*>& circuits, const DCOptions& options = {},
-    const std::vector<const linalg::Vector*>* initial_guesses = nullptr);
-
 // Sweeps a parameter (applied through `setter`) and records probe values at
 // each solved operating point.  Successive points warm-start from the
 // previous solution, which is what makes tight sweeps cheap.

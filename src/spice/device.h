@@ -142,34 +142,6 @@ class StampContext {
   double source_scale_;
 };
 
-// Lane-parallel view over K per-lane StampContexts, advanced in lockstep by
-// the batched Newton driver.  Lane l owns lane(l)'s iterate/builder/rhs; a
-// batched device implementation gathers its terminal voltages across lanes
-// (structure-of-arrays), evaluates the model per lane, and scatters exactly
-// the stamp sequence the scalar stamp() would produce into each lane's
-// builder — the bit-identity contract of the differential test tier.
-// Devices without a lane-parallel implementation are stamped per lane via
-// lane(l) by the driver.
-inline constexpr std::size_t kMaxBatchLanes = 16;
-
-class StampBatch {
- public:
-  StampBatch(StampContext* const* lanes, std::size_t count)
-      : lanes_(lanes), count_(count) {}
-
-  std::size_t lane_count() const { return count_; }
-  StampContext& lane(std::size_t l) const { return *lanes_[l]; }
-
-  // Gathers v(n) across lanes into out[0 .. lane_count()).
-  void gather_node_voltage(NodeId n, double* out) const {
-    for (std::size_t l = 0; l < count_; ++l) out[l] = lanes_[l]->node_voltage(n);
-  }
-
- private:
-  StampContext* const* lanes_;
-  std::size_t count_;
-};
-
 // Positions-only sibling of StampContext: devices record WHERE they stamp,
 // never what.  Used by the structural analyzer to build the MNA sparsity
 // pattern without evaluating any companion model (stamp() mutates device

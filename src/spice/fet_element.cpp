@@ -49,55 +49,6 @@ double FinFETElement::current(const SolutionView& s) const {
   return model_.evaluate(vgs, vds).ids;
 }
 
-void stamp_finfet_lanes(FinFETElement* const* fets, StampBatch& batch) {
-  const std::size_t k = batch.lane_count();
-  const NodeId drain = fets[0]->drain();
-  const NodeId gate = fets[0]->gate();
-  const NodeId source = fets[0]->source();
-
-  // Zero-initialized: the compiler cannot see that gather/evaluate only
-  // touch the first lane_count() lanes, and -Wmaybe-uninitialized fires at
-  // high optimization levels otherwise.
-  double vg[kMaxBatchLanes] = {}, vd[kMaxBatchLanes] = {},
-         vs[kMaxBatchLanes] = {};
-  double vgs[kMaxBatchLanes] = {}, vds[kMaxBatchLanes] = {};
-  models::FinFETOutput out[kMaxBatchLanes] = {};
-
-  batch.gather_node_voltage(gate, vg);
-  batch.gather_node_voltage(drain, vd);
-  batch.gather_node_voltage(source, vs);
-  for (std::size_t l = 0; l < k; ++l) {
-    vgs[l] = vg[l] - vs[l];
-    vds[l] = vd[l] - vs[l];
-  }
-
-  bool shared_params = true;
-  for (std::size_t l = 1; l < k && shared_params; ++l) {
-    shared_params = fets[l]->model().params() == fets[0]->model().params();
-  }
-  if (shared_params) {
-    fets[0]->model().evaluate_many(vgs, vds, k, out);
-  } else {
-    for (std::size_t l = 0; l < k; ++l) {
-      out[l] = fets[l]->model().evaluate(vgs[l], vds[l]);
-    }
-  }
-
-  for (std::size_t l = 0; l < k; ++l) {
-    StampContext& ctx = batch.lane(l);
-    const double gm = out[l].gm;
-    const double gds = out[l].gds;
-    ctx.mat_nn(drain, gate, gm);
-    ctx.mat_nn(drain, drain, gds);
-    ctx.mat_nn(drain, source, -(gm + gds));
-    ctx.mat_nn(source, gate, -gm);
-    ctx.mat_nn(source, drain, -gds);
-    ctx.mat_nn(source, source, gm + gds);
-    const double i_eq = out[l].ids - gm * vgs[l] - gds * vds[l];
-    ctx.stamp_current(drain, source, i_eq);
-  }
-}
-
 FinFETElement* add_finfet(Circuit& ckt, const std::string& name, NodeId drain,
                           NodeId gate, NodeId source,
                           const models::FinFETParams& params) {

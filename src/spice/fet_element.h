@@ -48,13 +48,4 @@ FinFETElement* add_finfet(Circuit& ckt, const std::string& name, NodeId drain,
                           NodeId gate, NodeId source,
                           const models::FinFETParams& params);
 
-// Lane-parallel stamping for the batched Newton driver.  `fets[l]` is lane
-// l's clone of one netlist position: same terminal nodes, possibly
-// different parameters.  Gathers terminal voltages across lanes
-// (structure-of-arrays), evaluates the model per lane — through one
-// evaluate_many() call when all lanes share a parameter set — and scatters
-// exactly the stamp sequence FinFETElement::stamp() would produce into each
-// lane's builder, so every lane is bit-identical to the scalar path.
-void stamp_finfet_lanes(FinFETElement* const* fets, StampBatch& batch);
-
 }  // namespace nvsram::spice

@@ -27,42 +27,6 @@ bool MTJElement::accept_step(const SolutionView& s, double, double dt) {
   return flipped;
 }
 
-void stamp_mtj_lanes(MTJElement* const* mtjs, StampBatch& batch) {
-  const std::size_t k = batch.lane_count();
-  const NodeId pinned = mtjs[0]->pinned_node();
-  const NodeId free = mtjs[0]->free_node();
-
-  // Zero-initialized: the compiler cannot see that gather/current_many only
-  // touch the first lane_count() lanes, and -Wmaybe-uninitialized fires at
-  // high optimization levels otherwise.
-  double vp[kMaxBatchLanes] = {}, vf[kMaxBatchLanes] = {},
-         v[kMaxBatchLanes] = {};
-  models::MTJ::IV iv[kMaxBatchLanes] = {};
-
-  batch.gather_node_voltage(pinned, vp);
-  batch.gather_node_voltage(free, vf);
-  for (std::size_t l = 0; l < k; ++l) v[l] = vp[l] - vf[l];
-
-  bool shared = true;
-  for (std::size_t l = 1; l < k && shared; ++l) {
-    shared = mtjs[l]->state() == mtjs[0]->state() &&
-             mtjs[l]->model().params() == mtjs[0]->model().params();
-  }
-  if (shared) {
-    mtjs[0]->model().current_many(mtjs[0]->state(), v, k, iv);
-  } else {
-    for (std::size_t l = 0; l < k; ++l) {
-      iv[l] = mtjs[l]->model().current(mtjs[l]->state(), v[l]);
-    }
-  }
-
-  for (std::size_t l = 0; l < k; ++l) {
-    StampContext& ctx = batch.lane(l);
-    ctx.stamp_conductance(pinned, free, iv[l].conductance);
-    ctx.stamp_current(pinned, free, iv[l].current - iv[l].conductance * v[l]);
-  }
-}
-
 double MTJElement::current(const SolutionView& s) const {
   const double v = s.node_voltage(pinned_) - s.node_voltage(free_);
   return mtj_.current(switching_.state(), v).current;

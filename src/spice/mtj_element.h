@@ -45,12 +45,4 @@ class MTJElement : public Device {
   int switch_count_ = 0;
 };
 
-// Lane-parallel stamping for the batched Newton driver.  `mtjs[l]` is lane
-// l's clone of one netlist position (same terminal nodes).  Gathers the
-// junction voltage across lanes, evaluates the macromodel per lane — via
-// one current_many() call when all lanes share parameters and magnetic
-// state — and scatters exactly the MTJElement::stamp() sequence into each
-// lane's builder, so every lane is bit-identical to the scalar path.
-void stamp_mtj_lanes(MTJElement* const* mtjs, StampBatch& batch);
-
 }  // namespace nvsram::spice

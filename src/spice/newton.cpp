@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 #include "linalg/lu.h"
 #include "linalg/sparse_lu.h"
 #include "linalg/structure.h"
-#include "spice/fet_element.h"
-#include "spice/mtj_element.h"
 #include "util/log.h"
 
 namespace nvsram::spice {
@@ -332,439 +329,6 @@ NewtonResult solve_newton_with_recovery(Circuit& circuit,
   plain.diagnostics.stage = RecoveryStage::kExhausted;
   x = x0;
   return plain;
-}
-
-// ---------------------------------------------------------------------------
-// BatchedNewton
-// ---------------------------------------------------------------------------
-
-BatchedNewton::BatchedNewton(std::vector<Circuit*> circuits,
-                             std::vector<const MnaLayout*> layouts)
-    : circuits_(std::move(circuits)), layouts_(std::move(layouts)) {
-  const std::size_t k = circuits_.size();
-  if (k == 0 || k != layouts_.size()) {
-    throw std::invalid_argument("BatchedNewton: empty or misaligned batch");
-  }
-  if (k > kMaxBatchLanes) {
-    throw std::invalid_argument("BatchedNewton: more than kMaxBatchLanes lanes");
-  }
-  n_ = layouts_[0]->unknown_count();
-  node_unknowns_ = layouts_[0]->node_count() - 1;
-  const std::size_t devices = circuits_[0]->devices().size();
-  for (std::size_t l = 1; l < k; ++l) {
-    if (layouts_[l]->unknown_count() != n_ ||
-        layouts_[l]->node_count() != layouts_[0]->node_count() ||
-        circuits_[l]->devices().size() != devices) {
-      throw std::invalid_argument("BatchedNewton: lanes are not clones");
-    }
-  }
-  build_groups();
-  builders_.assign(k, linalg::SparseBuilder(n_));
-  rhs_.assign(k, linalg::Vector(n_, 0.0));
-  assemblers_.resize(k);
-  mats_.resize(k);
-  solved_.resize(k);
-  dense_.resize(k);
-  dense_lu_.resize(k);
-  lane_ws_.resize(k);
-}
-
-void BatchedNewton::build_groups() {
-  const std::size_t k = circuits_.size();
-  const std::size_t devices = circuits_[0]->devices().size();
-  groups_.clear();
-  groups_.reserve(devices);
-  for (std::size_t i = 0; i < devices; ++i) {
-    DeviceGroup grp;
-    grp.index = i;
-    grp.fets.assign(k, nullptr);
-    grp.mtjs.assign(k, nullptr);
-    bool all_fet = true, all_mtj = true;
-    for (std::size_t l = 0; l < k; ++l) {
-      Device* dev = circuits_[l]->devices()[i].get();
-      grp.fets[l] = dynamic_cast<FinFETElement*>(dev);
-      grp.mtjs[l] = dynamic_cast<MTJElement*>(dev);
-      all_fet = all_fet && grp.fets[l] != nullptr;
-      all_mtj = all_mtj && grp.mtjs[l] != nullptr;
-    }
-    // Lane-parallel stamping additionally requires identical terminals
-    // (always true for clones; anything else falls back to scalar).
-    if (all_fet) {
-      for (std::size_t l = 1; l < k && all_fet; ++l) {
-        all_fet = grp.fets[l]->drain() == grp.fets[0]->drain() &&
-                  grp.fets[l]->gate() == grp.fets[0]->gate() &&
-                  grp.fets[l]->source() == grp.fets[0]->source();
-      }
-    }
-    if (all_mtj) {
-      for (std::size_t l = 1; l < k && all_mtj; ++l) {
-        all_mtj = grp.mtjs[l]->pinned_node() == grp.mtjs[0]->pinned_node() &&
-                  grp.mtjs[l]->free_node() == grp.mtjs[0]->free_node();
-      }
-    }
-    grp.kind = all_fet   ? DeviceGroup::Kind::kFinFET
-               : all_mtj ? DeviceGroup::Kind::kMtj
-                         : DeviceGroup::Kind::kScalar;
-    if (grp.kind != DeviceGroup::Kind::kFinFET) grp.fets.clear();
-    if (grp.kind != DeviceGroup::Kind::kMtj) grp.mtjs.clear();
-    groups_.push_back(std::move(grp));
-  }
-}
-
-void BatchedNewton::peel_lane(std::size_t lane,
-                              std::vector<NewtonResult>& results,
-                              const std::vector<linalg::Vector*>& xs,
-                              const linalg::Vector& x0, double time, double dt,
-                              bool dc, IntegrationMethod method,
-                              const NewtonOptions& opts) {
-  // Restart the scalar path from the lane's entry iterate: Newton is
-  // deterministic, so the scalar rerun retraces the lockstep trajectory
-  // exactly and continues it wherever the batch could not.  The lane's own
-  // workspace keeps a scalar fallback factorize() from clobbering the
-  // shared analysis.
-  ++peel_count_;
-  *xs[lane] = x0;
-  results[lane] = solve_newton(*circuits_[lane], *layouts_[lane], *xs[lane],
-                               time, dt, dc, method, opts, &lane_ws_[lane]);
-}
-
-std::vector<NewtonResult> BatchedNewton::solve(
-    const std::vector<linalg::Vector*>& xs, double time, double dt, bool dc,
-    IntegrationMethod method, const NewtonOptions& opts) {
-  const std::size_t k = circuits_.size();
-  if (xs.size() != k) {
-    throw std::invalid_argument("BatchedNewton::solve: iterate count");
-  }
-  constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
-  std::vector<NewtonResult> results(k);
-
-  // Entry iterates, saved pre-resize so a peeled lane restarts from exactly
-  // what the scalar path would have seen.
-  std::vector<linalg::Vector> x0(k);
-  for (std::size_t l = 0; l < k; ++l) x0[l] = *xs[l];
-
-  // Lanes carrying a fault plan run scalar from the start: per-point
-  // begin_solve() accounting and injected diagnostics cannot be batched.
-  std::vector<std::size_t> active;
-  active.reserve(k);
-  for (std::size_t l = 0; l < k; ++l) {
-    if (circuits_[l]->fault_plan() != nullptr) {
-      peel_lane(l, results, xs, x0[l], time, dt, dc, method, opts);
-    } else {
-      xs[l]->resize(n_, 0.0);
-      results[l].diagnostics.time = time;
-      results[l].diagnostics.last_dt = dt;
-      active.push_back(l);
-    }
-  }
-
-  std::vector<StampContext> ctxs;
-  ctxs.reserve(k);
-  StampContext* ctx_ptrs[kMaxBatchLanes];
-  FinFETElement* fet_lanes[kMaxBatchLanes];
-  MTJElement* mtj_lanes[kMaxBatchLanes];
-  const linalg::CsrMatrix* mat_lanes[kMaxBatchLanes];
-  const linalg::Vector* rhs_lanes[kMaxBatchLanes];
-  std::size_t marks[kMaxBatchLanes];
-  std::vector<std::size_t> next_active;
-  next_active.reserve(k);
-
-  for (int iter = 1; iter <= opts.max_iterations && !active.empty(); ++iter) {
-    ++lockstep_iterations_;
-    lane_iterations_ += active.size();
-    const std::size_t nact = active.size();
-
-    ctxs.clear();
-    for (std::size_t a = 0; a < nact; ++a) {
-      const std::size_t l = active[a];
-      results[l].iterations = iter;
-      results[l].diagnostics.iterations = iter;
-      builders_[l].clear();
-      std::fill(rhs_[l].begin(), rhs_[l].end(), 0.0);
-      ctxs.emplace_back(*layouts_[l], *xs[l], builders_[l], rhs_[l], time, dt,
-                        dc, method, opts.source_scale);
-      ctx_ptrs[a] = &ctxs[a];
-    }
-    StampBatch batch(ctx_ptrs, nact);
-
-    // `done[a]` marks a lane whose result finalized mid-iteration (the
-    // scalar path would have returned); its devices stop stamping — device
-    // stamp() may mutate scratch state — and it drops from `active` below.
-    bool done[kMaxBatchLanes] = {};
-
-    // ---- stamping, device by device across all lanes ----
-    for (const DeviceGroup& grp : groups_) {
-      for (std::size_t a = 0; a < nact; ++a) {
-        marks[a] = builders_[active[a]].triplets().size();
-      }
-      switch (grp.kind) {
-        case DeviceGroup::Kind::kFinFET:
-          for (std::size_t a = 0; a < nact; ++a) {
-            fet_lanes[a] = grp.fets[active[a]];
-          }
-          stamp_finfet_lanes(fet_lanes, batch);
-          break;
-        case DeviceGroup::Kind::kMtj:
-          for (std::size_t a = 0; a < nact; ++a) {
-            mtj_lanes[a] = grp.mtjs[active[a]];
-          }
-          stamp_mtj_lanes(mtj_lanes, batch);
-          break;
-        case DeviceGroup::Kind::kScalar:
-          for (std::size_t a = 0; a < nact; ++a) {
-            if (done[a]) continue;
-            circuits_[active[a]]->devices()[grp.index]->stamp(ctxs[a]);
-          }
-          break;
-      }
-      // Per-device non-finite stamp guard, per lane (same attribution as
-      // the scalar path: first offending device wins).
-      for (std::size_t a = 0; a < nact; ++a) {
-        if (done[a]) continue;
-        const std::size_t l = active[a];
-        const auto& trips = builders_[l].triplets();
-        for (std::size_t i = marks[a]; i < trips.size(); ++i) {
-          if (!std::isfinite(trips[i].value)) {
-            SolveDiagnostics& diag = results[l].diagnostics;
-            diag.non_finite = NonFiniteSite::kStamp;
-            diag.non_finite_device = circuits_[l]->devices()[grp.index]->name();
-            util::log_warn() << "newton: non-finite stamp from device '"
-                             << diag.non_finite_device << "' at t=" << time;
-            done[a] = true;
-            break;
-          }
-        }
-      }
-    }
-
-    // ---- assemble + linear solve per lane ----
-    for (std::size_t a = 0; a < nact; ++a) {
-      if (done[a]) continue;
-      const std::size_t l = active[a];
-      SolveDiagnostics& diag = results[l].diagnostics;
-      if (const std::size_t bad = first_non_finite(rhs_[l]); bad != kNpos) {
-        diag.non_finite = NonFiniteSite::kRhs;
-        diag.worst_node = unknown_name(*circuits_[l], *layouts_[l], bad);
-        util::log_warn() << "newton: non-finite RHS at '" << diag.worst_node
-                         << "', t=" << time;
-        done[a] = true;
-        continue;
-      }
-      for (std::size_t i = 0; i < node_unknowns_; ++i) {
-        builders_[l].add(i, i, opts.gmin);
-      }
-      assemblers_[l].assemble(builders_[l], mats_[l]);
-    }
-
-    // `solved[a]`: lane produced a solution vector this iteration.
-    bool solved[kMaxBatchLanes] = {};
-    if (n_ <= linalg::kDenseCutoff) {
-      // Dense path: per-lane partial-pivot LU (pivot orders may diverge
-      // between lanes), allocation-free via the persistent factorization.
-      for (std::size_t a = 0; a < nact; ++a) {
-        if (done[a]) continue;
-        const std::size_t l = active[a];
-        SolveDiagnostics& diag = results[l].diagnostics;
-        mats_[l].to_dense_into(dense_[l]);
-        if (dense_lu_[l].factorize(dense_[l])) {
-          solved_[l] = dense_lu_[l].solve(rhs_[l]);
-          diag.structure = StructuralVerdict::kSound;
-          solved[a] = true;
-          continue;
-        }
-        diag.singular_pivot = dense_lu_[l].failed_pivot();
-        if (dense_lu_[l].non_finite()) {
-          diag.non_finite = NonFiniteSite::kFactor;
-        } else {
-          const auto pattern = linalg::SparsityPattern::from_triplets(
-              n_, builders_[l].triplets());
-          diag.structure = linalg::maximum_matching(pattern).perfect(n_)
-                               ? StructuralVerdict::kSound
-                               : StructuralVerdict::kSingular;
-        }
-      }
-    } else {
-      // Sparse path: one shared analysis, lockstep refactorization.  A lane
-      // whose pattern diverges from lane 0's, or whose refactorization
-      // fails (the scalar path would fall back to a full factorize), peels
-      // off to the scalar path.
-      std::size_t first = kNpos;
-      for (std::size_t a = 0; a < nact && first == kNpos; ++a) {
-        if (!done[a]) first = a;
-      }
-      if (first != kNpos) {
-        const linalg::CsrMatrix& a0 = mats_[active[first]];
-        bool analyzed = ws_.sparse_lu.analyzed() &&
-                        ws_.sparse_lu.pattern_matches(a0);
-        if (!analyzed) {
-          analyzed = ws_.sparse_lu.analyze(a0);
-          if (analyzed) ws_.analyze_count++;
-        }
-        // Lanes sharing the analyzed pattern factor in lockstep; the rest
-        // peel.
-        std::size_t batch_lanes[kMaxBatchLanes];
-        std::size_t nbatch = 0;
-        for (std::size_t a = 0; a < nact; ++a) {
-          if (done[a]) continue;
-          const std::size_t l = active[a];
-          const bool matches = a == first || ws_.sparse_lu.pattern_matches(mats_[l]);
-          if (!matches) {
-            peel_lane(l, results, xs, x0[l], time, dt, dc, method, opts);
-            done[a] = true;
-            continue;
-          }
-          if (!analyzed) {
-            // Structural singularity: the scalar verdict, per lane.
-            SolveDiagnostics& diag = results[l].diagnostics;
-            diag.structure = StructuralVerdict::kSingular;
-            diag.singular_pivot = ws_.sparse_lu.failed_pivot();
-            done[a] = true;
-            results[l].singular = diag.non_finite == NonFiniteSite::kNone;
-            diag.singular = results[l].singular;
-            if (diag.singular_pivot != SolveDiagnostics::kNoPivot) {
-              diag.worst_node =
-                  unknown_name(*circuits_[l], *layouts_[l], diag.singular_pivot);
-            }
-            util::log_warn() << "newton: "
-                             << (diag.singular ? "singular system"
-                                               : "non-finite LU factor")
-                             << " at t=" << time
-                             << " (structure=" << to_string(diag.structure)
-                             << ")";
-            continue;
-          }
-          results[l].diagnostics.structure = StructuralVerdict::kSound;
-          batch_lanes[nbatch] = a;
-          mat_lanes[nbatch] = &mats_[l];
-          ++nbatch;
-        }
-        if (nbatch > 0) {
-          ws_.sparse_lu.refactor_lanes(mat_lanes, nbatch, lane_values_);
-          ws_.refactor_count++;
-          linalg::Vector* out_lanes[kMaxBatchLanes];
-          for (std::size_t b = 0; b < nbatch; ++b) {
-            const std::size_t a = batch_lanes[b];
-            rhs_lanes[b] = &rhs_[active[a]];
-            out_lanes[b] = &solved_[active[a]];
-          }
-          ws_.sparse_lu.solve_lanes(lane_values_, rhs_lanes, out_lanes);
-          for (std::size_t b = 0; b < nbatch; ++b) {
-            const std::size_t a = batch_lanes[b];
-            if (lane_values_.valid(b)) {
-              solved[a] = true;
-            } else {
-              peel_lane(active[a], results, xs, x0[active[a]], time, dt, dc,
-                        method, opts);
-              done[a] = true;
-            }
-          }
-        }
-      }
-    }
-
-    // ---- per-lane epilogue: guards, convergence, damping ----
-    next_active.clear();
-    for (std::size_t a = 0; a < nact; ++a) {
-      if (done[a]) continue;
-      const std::size_t l = active[a];
-      SolveDiagnostics& diag = results[l].diagnostics;
-      if (!solved[a]) {
-        // Dense-path factorization failure (sparse failures peeled above).
-        results[l].singular = diag.non_finite == NonFiniteSite::kNone;
-        diag.singular = results[l].singular;
-        if (diag.singular_pivot != SolveDiagnostics::kNoPivot) {
-          diag.worst_node =
-              unknown_name(*circuits_[l], *layouts_[l], diag.singular_pivot);
-        }
-        util::log_warn() << "newton: "
-                         << (diag.singular ? "singular system"
-                                           : "non-finite LU factor")
-                         << " at t=" << time
-                         << " (structure=" << to_string(diag.structure) << ")";
-        continue;
-      }
-      if (const std::size_t bad = first_non_finite(solved_[l]); bad != kNpos) {
-        diag.non_finite = NonFiniteSite::kSolution;
-        diag.worst_node = unknown_name(*circuits_[l], *layouts_[l], bad);
-        util::log_warn() << "newton: non-finite solution at '"
-                         << diag.worst_node << "', t=" << time;
-        continue;
-      }
-
-      bool converged = true;
-      double worst_ratio = 0.0;
-      std::size_t worst_index = kNpos;
-      double worst_delta = 0.0, worst_tol = 0.0;
-      linalg::Vector& x = *xs[l];
-      for (std::size_t i = 0; i < n_; ++i) {
-        const double delta = std::fabs(solved_[l][i] - x[i]);
-        const double abstol =
-            (i < node_unknowns_) ? opts.abstol_v : opts.abstol_i;
-        const double tol =
-            abstol + opts.reltol * std::max(std::fabs(solved_[l][i]),
-                                            std::fabs(x[i]));
-        if (delta > tol) converged = false;
-        const double ratio = tol > 0.0 ? delta / tol : 0.0;
-        if (ratio > worst_ratio) {
-          worst_ratio = ratio;
-          worst_index = i;
-          worst_delta = delta;
-          worst_tol = tol;
-        }
-      }
-      if (worst_index != kNpos) {
-        diag.worst_node = unknown_name(*circuits_[l], *layouts_[l], worst_index);
-        diag.worst_delta = worst_delta;
-        diag.worst_tol = worst_tol;
-      }
-      if (converged) {
-        x = std::move(solved_[l]);
-        results[l].converged = true;
-        diag.converged = true;
-        continue;
-      }
-      for (std::size_t i = 0; i < n_; ++i) {
-        double next = solved_[l][i];
-        if (i < node_unknowns_) {
-          const double delta = next - x[i];
-          if (delta > opts.voltage_limit) next = x[i] + opts.voltage_limit;
-          if (delta < -opts.voltage_limit) next = x[i] - opts.voltage_limit;
-        }
-        x[i] = next;
-      }
-      next_active.push_back(l);
-    }
-    active.swap(next_active);
-  }
-  return results;
-}
-
-std::vector<NewtonResult> BatchedNewton::solve_with_recovery(
-    const std::vector<linalg::Vector*>& xs, double time, double dt, bool dc,
-    IntegrationMethod method, const NewtonOptions& opts,
-    const RecoveryOptions& recovery, const util::Deadline* deadline) {
-  const std::size_t k = circuits_.size();
-  if (xs.size() != k) {
-    throw std::invalid_argument("BatchedNewton::solve_with_recovery: iterate count");
-  }
-  std::vector<linalg::Vector> x0(k);
-  for (std::size_t l = 0; l < k; ++l) x0[l] = *xs[l];
-
-  std::vector<NewtonResult> results =
-      solve(xs, time, dt, dc, method, opts);
-  for (std::size_t l = 0; l < k; ++l) {
-    if (results[l].converged) continue;
-    if (deadline) deadline->check("batched recovery ladder");
-    // The full scalar ladder from the entry iterate: its internal plain
-    // solve retraces the lockstep trajectory (identical failure), then the
-    // gmin/source rungs run warm-started and per-lane as they must.
-    ++peel_count_;
-    *xs[l] = x0[l];
-    results[l] = solve_newton_with_recovery(*circuits_[l], *layouts_[l],
-                                            *xs[l], time, dt, dc, method, opts,
-                                            recovery, deadline, &lane_ws_[l]);
-  }
-  return results;
 }
 
 }  // namespace nvsram::spice

@@ -110,107 +110,4 @@ NewtonResult solve_newton_with_recovery(Circuit& circuit,
                                         const util::Deadline* deadline = nullptr,
                                         NewtonWorkspace* ws = nullptr);
 
-class FinFETElement;
-class MTJElement;
-
-// K-lane lockstep Newton driver for batched parameter sweeps.
-//
-// Carries K parameter points — per-lane clones of one netlist with
-// identical topology and device order, possibly different parameter values
-// — through the Newton iteration in lockstep: devices stamp all lanes via
-// the structure-of-arrays StampBatch path (lane-parallel FinFET/MTJ
-// implementations; scalar per-lane stamping for everything else), one
-// shared NewtonWorkspace holds the single symbolic SparseLu analysis, and
-// SparseLu::refactor_lanes()/solve_lanes() redo the per-iteration numerics
-// for all lanes over the shared scatter plan.
-//
-// Bit-identity contract: every lane's solution and diagnostics equal what a
-// scalar solve_newton() on that lane alone would produce — except that
-// quantities whose exact value is 0.0 may differ in the sign of the zero
-// (see SparseLu::refactor_lanes()).  Anything that cannot be replicated in
-// lockstep peels the lane off to the scalar path: lanes carrying a fault
-// plan peel pre-emptively (so FaultPlan::begin_solve() counters and
-// injected diagnostics stay per-point), and a lane whose batched
-// refactorization fails (where the scalar path would fall back to a full
-// factorize) or whose sparsity pattern diverges from the batch restarts
-// scalar solve_newton() from its entry iterate — deterministic Newton
-// retraces the identical trajectory, so peeling never changes a result.
-class BatchedNewton {
- public:
-  // `circuits[l]` / `layouts[l]`: lane l's clone of the netlist and its MNA
-  // layout.  All lanes must agree on device count/order, node count and
-  // unknown count.  Throws std::invalid_argument on an empty batch, more
-  // than kMaxBatchLanes lanes, or misaligned lanes.
-  BatchedNewton(std::vector<Circuit*> circuits,
-                std::vector<const MnaLayout*> layouts);
-
-  std::size_t lanes() const { return circuits_.size(); }
-
-  // Lockstep counterpart of solve_newton(): xs[l] carries lane l's initial
-  // guess in and its solution out.
-  std::vector<NewtonResult> solve(const std::vector<linalg::Vector*>& xs,
-                                  double time, double dt, bool dc,
-                                  IntegrationMethod method,
-                                  const NewtonOptions& opts);
-
-  // Lockstep counterpart of solve_newton_with_recovery(): runs the batched
-  // solve, then any lane that did not converge reruns the full scalar
-  // recovery ladder from its entry iterate (the ladder's warm-started rungs
-  // are inherently per-lane).  `deadline` is checked between lanes and
-  // inside each ladder.
-  std::vector<NewtonResult> solve_with_recovery(
-      const std::vector<linalg::Vector*>& xs, double time, double dt, bool dc,
-      IntegrationMethod method, const NewtonOptions& opts,
-      const RecoveryOptions& recovery, const util::Deadline* deadline = nullptr);
-
-  // The shared workspace (symbolic-analysis reuse observable via counters).
-  const NewtonWorkspace& workspace() const { return ws_; }
-
-  // Cumulative telemetry across solve() calls, for benches and tests:
-  // lockstep iterations executed, lane-iterations summed over active lanes
-  // (their ratio over lanes() is the lane occupancy), and lanes peeled off
-  // to the scalar path.
-  std::size_t lockstep_iterations() const { return lockstep_iterations_; }
-  std::size_t lane_iterations() const { return lane_iterations_; }
-  std::size_t peel_count() const { return peel_count_; }
-
- private:
-  struct DeviceGroup {
-    enum class Kind { kFinFET, kMtj, kScalar };
-    Kind kind = Kind::kScalar;
-    std::size_t index = 0;               // device index in every lane
-    std::vector<FinFETElement*> fets;    // per-lane, kFinFET only
-    std::vector<MTJElement*> mtjs;       // per-lane, kMtj only
-  };
-
-  void build_groups();
-  void peel_lane(std::size_t lane, std::vector<NewtonResult>& results,
-                 const std::vector<linalg::Vector*>& xs,
-                 const linalg::Vector& x0, double time, double dt, bool dc,
-                 IntegrationMethod method, const NewtonOptions& opts);
-
-  std::vector<Circuit*> circuits_;
-  std::vector<const MnaLayout*> layouts_;
-  std::vector<DeviceGroup> groups_;
-  std::size_t n_ = 0;
-  std::size_t node_unknowns_ = 0;
-
-  NewtonWorkspace ws_;                      // shared symbolic analysis
-  std::vector<NewtonWorkspace> lane_ws_;    // per-lane, for peeled reruns
-  linalg::SparseLu::LaneValues lane_values_;
-
-  // Per-lane iteration scratch, persistent so the hot loop never allocates.
-  std::vector<linalg::SparseBuilder> builders_;
-  std::vector<linalg::Vector> rhs_;
-  std::vector<linalg::CsrAssembler> assemblers_;
-  std::vector<linalg::CsrMatrix> mats_;
-  std::vector<linalg::Vector> solved_;
-  std::vector<linalg::DenseMatrix> dense_;
-  std::vector<linalg::LuFactorization> dense_lu_;
-
-  std::size_t lockstep_iterations_ = 0;
-  std::size_t lane_iterations_ = 0;
-  std::size_t peel_count_ = 0;
-};
-
 }  // namespace nvsram::spice

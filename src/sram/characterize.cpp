@@ -1,8 +1,6 @@
 #include "sram/characterize.h"
 
 #include <cmath>
-#include <cstdlib>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -62,22 +60,6 @@ void gate_schedule(const CellTestbench& tb, const models::PaperParams& pp,
     report.add(std::move(d));
   }
   if (report.has_errors()) throw lint::LintError(std::move(report));
-}
-
-// Lane width for the static-power corner solves.  NVSRAM_SWEEP_BATCH > 1
-// (the sweep runner's lane-group knob) routes the five independent corner
-// DC solves through the lockstep batched driver (spice::solve_dc_lanes) on
-// per-corner testbench clones; the characterized values are bit-identical
-// either way, so the knob only changes how the work is carried.  Malformed
-// values fall back to scalar here — the runner layer is where a typo'd
-// drill variable fails loudly (RunnerOptions::apply_env).
-int static_corner_lanes() {
-  const char* v = std::getenv("NVSRAM_SWEEP_BATCH");
-  if (!v) return 1;
-  char* end = nullptr;
-  const long n = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0' || n < 1 || n > 64) return 1;
-  return static_cast<int>(n);
 }
 
 }  // namespace
@@ -210,45 +192,20 @@ CellEnergetics CellCharacterizer::characterize(CellKind kind) const {
   }
 
   // ---- static powers (DC, ideal bitlines) ----
-  // Five independent corner solves: either sequentially on one testbench,
-  // or in lockstep lane groups on per-corner clones (NVSRAM_SWEEP_BATCH).
   using SM = CellTestbench::StaticMode;
   const std::vector<std::pair<SM, bool>> corners = {{SM::kNormal, true},
                                                     {SM::kNormal, false},
                                                     {SM::kSleep, true},
                                                     {SM::kSleep, false},
                                                     {SM::kShutdown, true}};
-  const TestbenchOptions static_opts{
-      .ideal_bitlines = true,
-      .max_wall_seconds = remaining("characterize: static"),
-      .relax_attempt = relax_attempt_};
+  CellTestbench tbd(
+      kind, pp_,
+      TestbenchOptions{.ideal_bitlines = true,
+                       .max_wall_seconds = remaining("characterize: static"),
+                       .relax_attempt = relax_attempt_});
   std::vector<double> p(corners.size(), 0.0);
-  const std::size_t lanes =
-      static_cast<std::size_t>(static_corner_lanes());
-  if (lanes > 1) {
-    std::vector<std::unique_ptr<CellTestbench>> tbs;
-    tbs.reserve(corners.size());
-    for (std::size_t i = 0; i < corners.size(); ++i) {
-      tbs.push_back(std::make_unique<CellTestbench>(kind, pp_, static_opts));
-    }
-    for (std::size_t i = 0; i < corners.size();) {
-      const std::size_t count = std::min(lanes, corners.size() - i);
-      std::vector<CellTestbench*> group;
-      std::vector<std::pair<SM, bool>> group_corners;
-      for (std::size_t j = 0; j < count; ++j) {
-        group.push_back(tbs[i + j].get());
-        group_corners.push_back(corners[i + j]);
-      }
-      const auto powers =
-          CellTestbench::static_power_lanes(group, group_corners);
-      for (std::size_t j = 0; j < count; ++j) p[i + j] = powers[j];
-      i += count;
-    }
-  } else {
-    CellTestbench tbd(kind, pp_, static_opts);
-    for (std::size_t i = 0; i < corners.size(); ++i) {
-      p[i] = tbd.static_power(corners[i].first, corners[i].second);
-    }
+  for (std::size_t i = 0; i < corners.size(); ++i) {
+    p[i] = tbd.static_power(corners[i].first, corners[i].second);
   }
   out.p_static_normal = 0.5 * (p[0] + p[1]);
   out.p_static_sleep = 0.5 * (p[2] + p[3]);

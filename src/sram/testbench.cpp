@@ -512,61 +512,6 @@ double CellTestbench::static_power(StaticMode mode, bool data) {
   return total;
 }
 
-std::vector<double> CellTestbench::static_power_lanes(
-    const std::vector<CellTestbench*>& tbs,
-    const std::vector<std::pair<StaticMode, bool>>& corners) {
-  if (tbs.size() != corners.size()) {
-    throw std::invalid_argument(
-        "static_power_lanes: one testbench per corner required");
-  }
-  const std::size_t k = tbs.size();
-  // Per-lane setup mirrors solve_dc() exactly: bias, forced MTJ states,
-  // and the pure dc_guess — so each lane's starting state matches what the
-  // scalar call would see on its own testbench.
-  std::vector<linalg::Vector> guesses(k);
-  std::vector<const linalg::Vector*> guess_ptrs(k);
-  std::vector<spice::Circuit*> circuits(k);
-  for (std::size_t l = 0; l < k; ++l) {
-    CellTestbench& tb = *tbs[l];
-    BiasSet bias;
-    switch (corners[l].first) {
-      case StaticMode::kNormal: bias = tb.bias_normal(); break;
-      case StaticMode::kSleep: bias = tb.bias_sleep(); break;
-      case StaticMode::kShutdown: bias = tb.bias_shutdown(); break;
-    }
-    const bool data = corners[l].second;
-    tb.apply_bias(bias);
-    if (tb.cell_.mtj_q) {
-      tb.cell_.mtj_q->force_state(data ? models::MtjState::kAntiparallel
-                                       : models::MtjState::kParallel);
-      tb.cell_.mtj_qb->force_state(data ? models::MtjState::kParallel
-                                        : models::MtjState::kAntiparallel);
-    }
-    guesses[l] = tb.dc_guess(bias, data);
-    guess_ptrs[l] = &guesses[l];
-    circuits[l] = &tb.circuit_;
-  }
-
-  spice::DCOptions dopt;
-  dopt.max_wall_seconds = tbs[0]->opts_.max_wall_seconds;
-  dopt.newton = dopt.newton.relaxed(tbs[0]->opts_.relax_attempt);
-  const auto sols = spice::solve_dc_lanes(circuits, dopt, &guess_ptrs);
-
-  std::vector<double> out(k, 0.0);
-  for (std::size_t l = 0; l < k; ++l) {
-    if (!sols[l]) {
-      throw spice::SolverError("CellTestbench::static_power_lanes: DC failed "
-                               "at lane " + std::to_string(l),
-                               spice::SolveDiagnostics{});
-    }
-    for (Track* track : tbs[l]->tracks_) {
-      if (!track->source) continue;
-      out[l] += track->source->delivered_power(sols[l]->view(), 0.0);
-    }
-  }
-  return out;
-}
-
 double CellTestbench::vvdd_at(const spice::DCSolution& sol) const {
   return sol.node_voltage(n_vvdd_);
 }

@@ -146,16 +146,6 @@ class CellTestbench {
   enum class StaticMode { kNormal, kSleep, kShutdown };
   double static_power(StaticMode mode, bool data = true);
 
-  // Batched static-power corners: one testbench per corner (clones of one
-  // netlist — same kind, params, and options), solved in lockstep through
-  // spice::solve_dc_lanes.  out[l] is tbs[l]->static_power(corners[l]) to
-  // the bit (lanes that cannot stay in lockstep peel to the scalar path
-  // inside the batched driver).  Throws spice::SolverError naming the
-  // first lane whose operating point failed.
-  static std::vector<double> static_power_lanes(
-      const std::vector<CellTestbench*>& tbs,
-      const std::vector<std::pair<StaticMode, bool>>& corners);
-
   // Diagnostics of the most recent solve_dc() attempt (success or failure).
   const spice::SolveDiagnostics& last_dc_diagnostics() const {
     return last_dc_diag_;

@@ -25,7 +25,6 @@
 
 #include "core/analyzer.h"
 #include "models/paper_params.h"
-#include "sram/characterize_cache.h"
 
 namespace nvsram::core {
 namespace {
@@ -251,52 +250,6 @@ TEST(PaperGolden, GoldenValuesMatchCheckedInFile) {
   }
   constexpr double kRtol = 1e-3;
   for (const auto& [key, value] : computed) {
-    ASSERT_TRUE(golden.count(key)) << "unrecorded golden key: " << key;
-    const double want = golden.at(key);
-    const double tol = kRtol * std::max(std::fabs(want), std::fabs(value));
-    EXPECT_NEAR(value, want, tol) << key;
-  }
-}
-
-// ---- batched-solve guard ----
-//
-// The batched multi-point Newton path (NVSRAM_SWEEP_BATCH > 1 batches the
-// static-power corners of cell characterization through
-// spice::solve_dc_lanes) claims bit-identity with the scalar solver.  Hold
-// it to that claim at the paper level: recharacterize everything with the
-// knob set and require the Fig. 7/8/9 headline numbers to be *exactly* the
-// scalar ones — and therefore to pass against the same checked-in golden
-// file.  Any lane-ordering drift in the batched solver shows up here as a
-// paper-figure diff, not just a unit-test failure.
-TEST(PaperGolden, GoldenValuesIdenticalUnderSweepBatch4) {
-  if (std::getenv("NVSRAM_UPDATE_GOLDENS")) {
-    GTEST_SKIP() << "golden regeneration runs scalar-only";
-  }
-  const auto scalar = compute_goldens(analyzer());
-
-  // The process-wide characterization cache would otherwise hand the batched
-  // analyzer the scalar cells verbatim and prove nothing — drop it so the
-  // batched path really recharacterizes.
-  sram::characterize_cache_clear();
-  const auto misses_before = sram::characterize_cache_stats().misses;
-  ::setenv("NVSRAM_SWEEP_BATCH", "4", 1);
-  const PowerGatingAnalyzer batched_an(models::PaperParams::table1());
-  ::unsetenv("NVSRAM_SWEEP_BATCH");
-  ASSERT_EQ(sram::characterize_cache_stats().misses, misses_before + 2)
-      << "characterization was served from cache; the batched path never ran";
-  const auto batched = compute_goldens(batched_an);
-
-  ASSERT_EQ(scalar.size(), batched.size());
-  for (const auto& [key, value] : scalar) {
-    ASSERT_TRUE(batched.count(key)) << key;
-    EXPECT_EQ(value, batched.at(key)) << key << " drifts under batching";
-  }
-
-  // And the batched run satisfies the checked-in goldens on its own.
-  const auto golden = load_goldens(golden_path());
-  ASSERT_FALSE(golden.empty()) << "missing " << golden_path();
-  constexpr double kRtol = 1e-3;
-  for (const auto& [key, value] : batched) {
     ASSERT_TRUE(golden.count(key)) << "unrecorded golden key: " << key;
     const double want = golden.at(key);
     const double tol = kRtol * std::max(std::fabs(want), std::fabs(value));

@@ -190,16 +190,12 @@ TEST_P(MtjDiameterGrid, ResistanceAndIcScaleWithArea) {
 INSTANTIATE_TEST_SUITE_P(Diameters, MtjDiameterGrid,
                          ::testing::Values(10e-9, 20e-9, 30e-9, 45e-9));
 
-// ---- device closures: scalar vs lane-batched entry points ------------------
+// ---- device closures: invariants along seeded bias samples ----------------
 //
-// The batched stamping path (StampBatch in spice/device.h) reaches the
-// models through evaluate_many / current_many.  These properties run the
-// same seeded random bias samples through both entry points: the lane form
-// must be bit-identical to the scalar loop, and the physical invariants
-// (monotonicity, continuity under bias and parameter perturbation) must
-// hold along both.
+// The physical invariants (monotonicity, continuity under bias and
+// parameter perturbation) must hold along seeded random bias samples.
 
-constexpr unsigned kSharedSeed = 0x5eed;  // one seed, both entry points
+constexpr unsigned kSharedSeed = 0x5eed;  // one seed for every property
 
 std::vector<double> random_biases(std::size_t n, double lo, double hi) {
   std::mt19937 rng(kSharedSeed);
@@ -216,37 +212,16 @@ class FinFetPolarity : public ::testing::TestWithParam<bool> {
   }
 };
 
-TEST_P(FinFetPolarity, EvaluateManyBitIdenticalToScalar) {
-  const models::FinFET fet(params());
-  const auto vgs = random_biases(256, -1.0, 1.0);
-  auto vds = random_biases(256, -1.0, 1.0);
-  std::reverse(vds.begin(), vds.end());  // decorrelate the two axes
-
-  std::vector<models::FinFETOutput> lanes(vgs.size());
-  fet.evaluate_many(vgs.data(), vds.data(), vgs.size(), lanes.data());
-  for (std::size_t i = 0; i < vgs.size(); ++i) {
-    const auto ref = fet.evaluate(vgs[i], vds[i]);
-    EXPECT_EQ(ref.ids, lanes[i].ids) << "sample " << i;
-    EXPECT_EQ(ref.gm, lanes[i].gm) << "sample " << i;
-    EXPECT_EQ(ref.gds, lanes[i].gds) << "sample " << i;
-  }
-}
-
 TEST_P(FinFetPolarity, DrainCurrentMonotonicInGateOverdrive) {
   const bool pmos = GetParam();
   const models::FinFET fet(params());
-  // |Ids| must be nondecreasing in gate overdrive at fixed |Vds|; sample
-  // through the lane entry point so the invariant is checked on the exact
-  // values the batched stamper consumes.
+  // |Ids| must be nondecreasing in gate overdrive at fixed |Vds|.
   for (double vds_mag : {0.05, 0.45, 0.9}) {
-    std::vector<double> vgs(181), vds(181);
-    for (std::size_t i = 0; i < vgs.size(); ++i) {
+    std::vector<models::FinFETOutput> out(181);
+    for (std::size_t i = 0; i < out.size(); ++i) {
       const double mag = static_cast<double>(i) * 0.005;  // 0 .. 0.9 V
-      vgs[i] = pmos ? -mag : mag;
-      vds[i] = pmos ? -vds_mag : vds_mag;
+      out[i] = fet.evaluate(pmos ? -mag : mag, pmos ? -vds_mag : vds_mag);
     }
-    std::vector<models::FinFETOutput> out(vgs.size());
-    fet.evaluate_many(vgs.data(), vds.data(), vgs.size(), out.data());
     for (std::size_t i = 1; i < out.size(); ++i) {
       EXPECT_GE(std::abs(out[i].ids), std::abs(out[i - 1].ids) * (1.0 - 1e-12))
           << "vgs step " << i << " at |vds| = " << vds_mag;
@@ -275,8 +250,7 @@ TEST_P(FinFetPolarity, ContinuousUnderBiasPerturbation) {
 
 TEST_P(FinFetPolarity, ContinuousUnderParameterPerturbation) {
   // A 1 nV threshold shift cannot move any current by more than a sliver:
-  // the model (and hence a lane whose parameters differ infinitesimally
-  // from its neighbors') responds continuously to its parameters.
+  // the model responds continuously to its parameters.
   auto p1 = params();
   auto p2 = p1;
   p2.vth0 += 1e-9;
@@ -297,26 +271,14 @@ INSTANTIATE_TEST_SUITE_P(Polarities, FinFetPolarity, ::testing::Bool());
 
 class MtjStateGrid : public ::testing::TestWithParam<models::MtjState> {};
 
-TEST_P(MtjStateGrid, CurrentManyBitIdenticalToScalar) {
-  const models::MTJ mtj(models::paper_mtj());
-  const auto volts = random_biases(256, -0.6, 0.6);
-  std::vector<models::MTJ::IV> lanes(volts.size());
-  mtj.current_many(GetParam(), volts.data(), volts.size(), lanes.data());
-  for (std::size_t i = 0; i < volts.size(); ++i) {
-    const auto ref = mtj.current(GetParam(), volts[i]);
-    EXPECT_EQ(ref.current, lanes[i].current) << "sample " << i;
-    EXPECT_EQ(ref.conductance, lanes[i].conductance) << "sample " << i;
-  }
-}
-
 TEST_P(MtjStateGrid, CurrentMonotonicOddAndPositiveConductance) {
   const models::MTJ mtj(models::paper_mtj());
   std::vector<double> volts(241);
+  std::vector<models::MTJ::IV> out(volts.size());
   for (std::size_t i = 0; i < volts.size(); ++i) {
     volts[i] = -0.6 + 0.005 * static_cast<double>(i);
+    out[i] = mtj.current(GetParam(), volts[i]);
   }
-  std::vector<models::MTJ::IV> out(volts.size());
-  mtj.current_many(GetParam(), volts.data(), volts.size(), out.data());
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_GT(out[i].conductance, 0.0) << "v = " << volts[i];
     if (volts[i] != 0.0) {

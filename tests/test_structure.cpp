@@ -337,12 +337,14 @@ TEST(StructuralAnalysis, ArrayScalePatternIsCleanAndOrdered) {
 
 // ---- NewtonWorkspace: symbolic reuse ----------------------------------------
 
-sram::ArrayTestbench make_array_bench() {
+sram::ArrayTestbench make_array_bench(double vdd_trim = 0.0) {
   sram::ArrayOptions opts;
   opts.rows = 6;
   opts.cols = 6;
   opts.nonvolatile = true;
-  return sram::ArrayTestbench(PaperParams::table1(), opts);
+  auto pp = PaperParams::table1();
+  pp.vdd += vdd_trim;
+  return sram::ArrayTestbench(pp, opts);
 }
 
 TEST(NewtonWorkspace, ResultsAreBitIdenticalWithAndWithoutWorkspace) {
@@ -395,6 +397,42 @@ TEST(NewtonWorkspace, WarmResolveReusesTheSymbolicAnalysis) {
   EXPECT_EQ(dc.workspace().analyze_count, analyzes)
       << "warm re-solve must reuse the symbolic analysis";
   EXPECT_GT(dc.workspace().refactor_count, refactors);
+}
+
+TEST(NewtonWorkspace, SharedAcrossSweepPointsMatchesFresh) {
+  // Adjacent sweep points (VDD trims) on one array topology, each
+  // warm-started from the first point's operating point.  One workspace
+  // carried across the points reproduces fresh per-point solves bit for
+  // bit and runs the symbolic analysis once for the whole sweep.
+  auto base = make_array_bench();
+  spice::DCAnalysis dc(base.circuit());
+  const auto warm = dc.solve();
+  ASSERT_TRUE(warm.has_value());
+
+  const spice::NewtonOptions opts;
+  spice::NewtonWorkspace shared;
+  for (int point = 0; point < 4; ++point) {
+    auto fresh_tb = make_array_bench(1e-3 * point);
+    auto shared_tb = make_array_bench(1e-3 * point);
+    const spice::MnaLayout fresh_layout = fresh_tb.circuit().build_layout();
+    const spice::MnaLayout shared_layout = shared_tb.circuit().build_layout();
+    ASSERT_GT(fresh_layout.unknown_count(), linalg::kDenseCutoff);
+    linalg::Vector x_fresh = warm->raw();
+    linalg::Vector x_shared = warm->raw();
+    spice::NewtonWorkspace fresh;
+    const auto r_fresh = spice::solve_newton(
+        fresh_tb.circuit(), fresh_layout, x_fresh, 0.0, 0.0, /*dc=*/true,
+        spice::IntegrationMethod::kBackwardEuler, opts, &fresh);
+    const auto r_shared = spice::solve_newton(
+        shared_tb.circuit(), shared_layout, x_shared, 0.0, 0.0, /*dc=*/true,
+        spice::IntegrationMethod::kBackwardEuler, opts, &shared);
+    ASSERT_TRUE(r_fresh.converged) << "point " << point;
+    EXPECT_EQ(r_fresh.iterations, r_shared.iterations) << "point " << point;
+    EXPECT_EQ(x_fresh, x_shared) << "point " << point;
+    EXPECT_EQ(fresh.analyze_count, 1u) << "point " << point;
+  }
+  EXPECT_EQ(shared.analyze_count, 1u)
+      << "one topology, one pattern: one analysis for the whole sweep";
 }
 
 TEST(NewtonWorkspace, StructuralVerdictSoundOnNumericFailure) {

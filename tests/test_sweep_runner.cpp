@@ -422,139 +422,6 @@ TEST(SweepCheckpoint, CorruptionHealsToByteIdenticalResume) {
   EXPECT_EQ(slurp(s2.csv_path), slurp(s_ref.csv_path));
 }
 
-// ---- batched lane groups (RunnerOptions::batch / NVSRAM_SWEEP_BATCH) ------
-
-// batch_fn mirroring square_point for a whole group, per the BatchPointFn
-// contract (rows bit-identical to the scalar callback).
-std::vector<Rows> square_batch(const PointContext& first, std::size_t count) {
-  std::vector<Rows> out;
-  for (std::size_t i = 0; i < count; ++i) {
-    const double x = static_cast<double>(first.index + i);
-    out.push_back({{x, x * x}});
-  }
-  return out;
-}
-
-TEST(SweepBatch, BatchedSweepIsByteIdenticalToScalar) {
-  SweepRunner scalar("batch_ref", base_options("batch_ref"));
-  const auto ref = scalar.run(10, square_point);
-  ASSERT_TRUE(ref.all_ok());
-
-  auto opts = base_options("batch4");
-  opts.batch = 4;  // groups 0-3, 4-7, 8-9 (remainder stays grouped)
-  SweepRunner batched("batch4", opts);
-  std::atomic<int> batch_calls{0};
-  const auto s = batched.run(10, square_point,
-                             [&](const PointContext& first, std::size_t count) {
-                               ++batch_calls;
-                               return square_batch(first, count);
-                             });
-  EXPECT_TRUE(s.all_ok());
-  EXPECT_EQ(s.batch, 4);
-  EXPECT_GT(batch_calls.load(), 0);
-  EXPECT_EQ(s.rows, ref.rows);
-  EXPECT_EQ(slurp(s.csv_path), slurp(ref.csv_path));
-  EXPECT_EQ(slurp(s.manifest_path), slurp(ref.manifest_path));
-}
-
-TEST(SweepBatch, GroupsAreAdjacentAndCoverEveryPointOnce) {
-  auto opts = base_options("batch_groups");
-  opts.batch = 4;
-  opts.threads = 1;  // serial path: deterministic group formation
-  SweepRunner run("batch_groups", opts);
-  std::vector<std::pair<std::size_t, std::size_t>> groups;
-  const auto s = run.run(11, square_point,
-                         [&](const PointContext& first, std::size_t count) {
-                           groups.emplace_back(first.index, count);
-                           return square_batch(first, count);
-                         });
-  EXPECT_TRUE(s.all_ok());
-  // Groups tile [0, 11) in order, each within the lane width.  Singleton
-  // points never reach batch_fn (the scalar loop is cheaper and identical).
-  std::size_t next = 0;
-  for (const auto& [begin, count] : groups) {
-    EXPECT_EQ(begin, next);
-    EXPECT_GE(count, 2u);
-    EXPECT_LE(count, 4u);
-    next = begin + count;
-  }
-  EXPECT_EQ(next, 11u) << "last group should absorb the remainder";
-}
-
-TEST(SweepBatch, ThrowingBatchFnFallsBackToScalarByteIdentical) {
-  SweepRunner scalar("batch_throw_ref", base_options("batch_throw_ref"));
-  const auto ref = scalar.run(7, square_point);
-
-  auto opts = base_options("batch_throw");
-  opts.batch = 4;
-  SweepRunner batched("batch_throw", opts);
-  const auto s = batched.run(7, square_point,
-                             [](const PointContext&, std::size_t) -> std::vector<Rows> {
-                               throw std::runtime_error("lanes, diverged");
-                             });
-  EXPECT_TRUE(s.all_ok()) << "batch failure must not fail any point";
-  EXPECT_EQ(s.rows, ref.rows);
-  EXPECT_EQ(slurp(s.csv_path), slurp(ref.csv_path));
-  EXPECT_EQ(slurp(s.manifest_path), slurp(ref.manifest_path));
-}
-
-TEST(SweepBatch, WrongResultCountFallsBackToScalar) {
-  SweepRunner scalar("batch_short_ref", base_options("batch_short_ref"));
-  const auto ref = scalar.run(6, square_point);
-
-  auto opts = base_options("batch_short");
-  opts.batch = 3;
-  SweepRunner batched("batch_short", opts);
-  const auto s = batched.run(6, square_point,
-                             [](const PointContext& first, std::size_t count) {
-                               auto rows = square_batch(first, count);
-                               rows.pop_back();  // violates the contract
-                               return rows;
-                             });
-  EXPECT_TRUE(s.all_ok());
-  EXPECT_EQ(s.rows, ref.rows);
-  EXPECT_EQ(slurp(s.csv_path), slurp(ref.csv_path));
-}
-
-TEST(SweepBatch, FaultDrillPointForcesGroupToScalarPath) {
-  auto opts = base_options("batch_drill");
-  opts.batch = 4;
-  opts.max_attempts = 2;
-  opts.fault_point = 2;  // inside the first lane group
-  SweepRunner run("batch_drill", opts);
-  std::atomic<int> batch_calls_over_drill{0};
-  const auto s = run.run(8, square_point,
-                         [&](const PointContext& first, std::size_t count) {
-                           if (first.index <= 2 && first.index + count > 2) {
-                             ++batch_calls_over_drill;
-                           }
-                           return square_batch(first, count);
-                         });
-  // The drill point fails per-point (fault on every attempt), and its group
-  // never went through the batched path — faults stay per-point drills.
-  EXPECT_EQ(batch_calls_over_drill.load(), 0);
-  EXPECT_EQ(s.failed, 1u);
-  EXPECT_EQ(s.completed, 7u);
-}
-
-TEST(SweepBatch, ResumeAfterKillStaysByteIdenticalUnderBatch) {
-  SweepRunner scalar("batch_kill_ref", base_options("batch_kill_ref"));
-  const auto ref = scalar.run(9, square_point);
-
-  auto opts = base_options("batch_kill");
-  opts.batch = 3;
-  opts.stop_after_point = 4;  // graceful stop mid-sweep, checkpoint kept
-  SweepRunner first("batch_kill", opts);
-  (void)first.run(9, square_point, square_batch);
-
-  opts.stop_after_point = -1;
-  SweepRunner resumed("batch_kill", opts);
-  const auto s = resumed.run(9, square_point, square_batch);
-  EXPECT_TRUE(s.all_ok());
-  EXPECT_EQ(s.rows, ref.rows);
-  EXPECT_EQ(slurp(s.csv_path), slurp(ref.csv_path));
-}
-
 TEST(SweepRunner, RowWidthMismatchIsAHarnessError) {
   SweepRunner run("width", base_options("width"));
   EXPECT_THROW((void)run.run(1,
