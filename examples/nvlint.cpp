@@ -11,13 +11,6 @@
 //   --explain=<id>   one-paragraph explanation of a rule, with the minimal
 //                    triggering example and its seeded fixture
 //   --disable=<id>   disable a rule (repeatable)
-//   --hier           lint through the hierarchical summary engine
-//                    (lint_netlist_hier): one analysis per .subckt
-//                    definition, composed per instance — verdict-identical
-//                    to the flat engine, orders of magnitude faster on
-//                    arrays.  When a certificate fails and the engine falls
-//                    back to flat analysis, text mode prints the reason as
-//                    a note and JSON carries "hier_fast_path": false.
 //   --baseline=<f>   suppress findings recorded in a baseline file (one
 //                    "file|rule|device|node" line each, instance-path
 //                    normalized) so legacy findings don't gate CI while new
@@ -66,7 +59,6 @@
 #include <vector>
 
 #include "lint/dataflow/check.h"
-#include "lint/hier/hier_linter.h"
 #include "lint/linter.h"
 #include "lint/power/check.h"
 #include "lint/temporal/protocol.h"
@@ -263,15 +255,12 @@ struct BaselineCtx {
 };
 
 // Shared reporting tail for real files and bench pseudo-files.
-// `hier_fast_path` is -1 when the flat engine ran, otherwise whether the
-// hierarchical composition engaged (0: fell back, 1: composed).
 FileResult report_diagnostics(const std::string& path,
                               const nvsram::lint::LintReport& report,
                               const std::vector<std::string>& werror_globs,
                               bool quiet, Format format,
                               std::vector<SarifResult>& sarif,
-                              bool first_file, BaselineCtx& baseline,
-                              int hier_fast_path = -1) {
+                              bool first_file, BaselineCtx& baseline) {
   using namespace nvsram;
   FileResult result;
   std::vector<const lint::Diagnostic*> kept;
@@ -318,10 +307,6 @@ FileResult report_diagnostics(const std::string& path,
     std::cout << "\n  {\"file\": \"" << json_escape(path)
               << "\", \"parse_failed\": false, \"errors\": " << result.errors
               << ", \"warnings\": " << result.warnings;
-    if (hier_fast_path >= 0) {
-      std::cout << ", \"hier_fast_path\": "
-                << (hier_fast_path == 1 ? "true" : "false");
-    }
     if (!baseline.accepted.empty()) {
       std::cout << ", \"baselined\": " << suppressed;
     }
@@ -335,10 +320,6 @@ FileResult report_diagnostics(const std::string& path,
     return result;
   }
   if (!quiet) {
-    if (hier_fast_path == 0) {
-      std::cout << path << ": note: hierarchical lint fell back to flat "
-                << "analysis: " << lint::hier::last_fallback_reason() << "\n";
-    }
     for (const auto& f : findings) {
       const lint::Diagnostic& d = *f.rep;
       std::cout << path << ":" << (d.line >= 0 ? std::to_string(d.line) : "-")
@@ -362,7 +343,7 @@ FileResult lint_file(const std::string& path,
                      const nvsram::lint::LintOptions& options,
                      const std::vector<std::string>& werror_globs, bool quiet,
                      Format format, std::vector<SarifResult>& sarif,
-                     bool first_file, BaselineCtx& baseline, bool hier) {
+                     bool first_file, BaselineCtx& baseline) {
   using namespace nvsram;
   FileResult result;
 
@@ -403,16 +384,8 @@ FileResult lint_file(const std::string& path,
     return result;
   }
 
-  int hier_fast_path = -1;
-  lint::LintReport report;
-  if (hier) {
-    report = lint::lint_netlist_hier(*net, options);
-    hier_fast_path = lint::hier::last_run_used_fast_path() ? 1 : 0;
-  } else {
-    report = net->lint(options);
-  }
-  return report_diagnostics(path, report, werror_globs, quiet, format, sarif,
-                            first_file, baseline, hier_fast_path);
+  return report_diagnostics(path, net->lint(options), werror_globs, quiet,
+                            format, sarif, first_file, baseline);
 }
 
 // Builds the scheduled benchmark deck for one architecture and runs the
@@ -552,7 +525,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> werror_globs;
   bool quiet = false;
   bool werror = false;
-  bool hier = false;
   Format format = Format::kText;
   std::vector<SarifResult> sarif;
   std::string baseline_path;
@@ -562,7 +534,7 @@ int main(int argc, char** argv) {
 
   const char* usage =
       "usage: nvlint [--rules] [--list-rules] [--explain=<id>] "
-      "[--disable=<id>] [--hier] [--baseline=<file>] "
+      "[--disable=<id>] [--baseline=<file>] "
       "[--write-baseline=<file>] [--werror] "
       "[--werror=<glob>] [--bench=<nvpg|nof|osr|all>] [--format=json|sarif] "
       "[-q] <netlist.cir>...\n";
@@ -589,8 +561,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       options.disable(id);
-    } else if (arg == "--hier") {
-      hier = true;
     } else if (arg.rfind("--baseline=", 0) == 0) {
       baseline_path = arg.substr(11);
       if (baseline_path.empty()) {
@@ -671,7 +641,7 @@ int main(int argc, char** argv) {
   bool first = true;
   for (const auto& path : files) {
     const FileResult r = lint_file(path, options, werror_globs, quiet, format,
-                                   sarif, first, baseline, hier);
+                                   sarif, first, baseline);
     first = false;
     any_parse_failed = any_parse_failed || r.parse_failed;
     total_errors += r.errors;

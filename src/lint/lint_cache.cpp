@@ -1,11 +1,7 @@
 #include "lint/lint_cache.h"
 
-#include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <utility>
-
-#include "lint/hier/summary.h"
 
 namespace nvsram::lint {
 
@@ -36,12 +32,6 @@ struct Cache {
   std::unordered_map<Key, LintReport, KeyHash> map;
   std::size_t hits = 0;
   std::size_t misses = 0;
-  // Per-definition summaries (hierarchical engine), keyed on the subckt
-  // content hash alone — summaries are options-independent.
-  std::unordered_map<std::uint64_t, std::shared_ptr<const hier::DefSummary>>
-      summaries;
-  std::size_t summary_hits = 0;
-  std::size_t summary_misses = 0;
 };
 
 Cache& cache() {
@@ -73,28 +63,6 @@ void lint_cache_store(std::uint64_t content_hash, std::uint64_t options_fp,
   c.map.insert_or_assign(Key{content_hash, options_fp}, report);
 }
 
-std::shared_ptr<const hier::DefSummary> lint_summary_cache_lookup(
-    std::uint64_t def_content_hash) {
-  Cache& c = cache();
-  std::lock_guard<std::mutex> lock(c.m);
-  auto it = c.summaries.find(def_content_hash);
-  if (it == c.summaries.end()) {
-    ++c.summary_misses;
-    return nullptr;
-  }
-  ++c.summary_hits;
-  return it->second;
-}
-
-void lint_summary_cache_store(
-    std::uint64_t def_content_hash,
-    std::shared_ptr<const hier::DefSummary> summary) {
-  if (def_content_hash == 0 || summary == nullptr) return;
-  Cache& c = cache();
-  std::lock_guard<std::mutex> lock(c.m);
-  c.summaries.insert_or_assign(def_content_hash, std::move(summary));
-}
-
 LintCacheStats lint_cache_stats() {
   Cache& c = cache();
   std::lock_guard<std::mutex> lock(c.m);
@@ -102,9 +70,6 @@ LintCacheStats lint_cache_stats() {
   stats.hits = c.hits;
   stats.misses = c.misses;
   stats.entries = c.map.size();
-  stats.summary_hits = c.summary_hits;
-  stats.summary_misses = c.summary_misses;
-  stats.summary_entries = c.summaries.size();
   return stats;
 }
 
@@ -114,9 +79,6 @@ void lint_cache_clear() {
   c.map.clear();
   c.hits = 0;
   c.misses = 0;
-  c.summaries.clear();
-  c.summary_hits = 0;
-  c.summary_misses = 0;
 }
 
 }  // namespace nvsram::lint

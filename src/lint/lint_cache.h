@@ -15,25 +15,14 @@
 //
 // Thread-safe; lookups return the report by value (it is a small diagnostic
 // vector) so no pointer into the cache outlives a clear().
-// A second table holds the hierarchical engine's per-definition summaries
-// (lint/hier/summary.h), keyed on SubcktInfo::content_hash alone: a summary
-// stores unfiltered diagnostics and facts, so it is valid under every
-// LintOptions value.  Definitions repeat across decks (the same cell in a
-// 4x4 and a 64x64 array) and across sweep re-lints, so the summary is
-// computed once per process per definition text.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 
 #include "lint/report.h"
 
 namespace nvsram::lint {
-
-namespace hier {
-struct DefSummary;
-}  // namespace hier
 
 // Cached report for (content_hash, options_fp); nullopt on miss or when
 // content_hash is 0 (un-cacheable).
@@ -44,27 +33,15 @@ std::optional<LintReport> lint_cache_lookup(std::uint64_t content_hash,
 void lint_cache_store(std::uint64_t content_hash, std::uint64_t options_fp,
                       const LintReport& report);
 
-// Cached per-definition summary for a SubcktInfo::content_hash; nullptr on
-// miss (the subckt hash is never 0, see netlist_parser.h).
-std::shared_ptr<const hier::DefSummary> lint_summary_cache_lookup(
-    std::uint64_t def_content_hash);
-
-void lint_summary_cache_store(std::uint64_t def_content_hash,
-                              std::shared_ptr<const hier::DefSummary> summary);
-
 struct LintCacheStats {
   std::size_t hits = 0;
   std::size_t misses = 0;
   std::size_t entries = 0;
-  // Per-definition summary table (hierarchical engine).
-  std::size_t summary_hits = 0;
-  std::size_t summary_misses = 0;
-  std::size_t summary_entries = 0;
 };
 
 LintCacheStats lint_cache_stats();
 
-// Clears both tables and resets the counters.
+// Clears the cache and resets the counters.
 void lint_cache_clear();
 
 }  // namespace nvsram::lint

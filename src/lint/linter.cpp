@@ -543,4 +543,9 @@ LintReport lint_netlist_passes(const ParsedNetlist& netlist,
   return Linter(netlist.circuit(), &netlist, options, std::move(passes)).run();
 }
 
+LintReport lint_netlist_hier(const ParsedNetlist& netlist,
+                             const LintOptions& options) {
+  return lint_netlist(netlist, options);
+}
+
 }  // namespace nvsram::lint

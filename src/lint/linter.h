@@ -24,10 +24,9 @@ class ParsedNetlist;
 
 namespace nvsram::lint {
 
-// Pass-group selection for lint_netlist_passes().  The flat entry points run
-// everything; the hierarchical engine (lint/hier/) composes the structural
-// group itself from per-definition summaries and runs the remaining groups
-// here verbatim, so those verdicts are flat-identical by construction.
+// Pass-group selection for lint_netlist_passes().  lint_circuit() and
+// lint_netlist() run every group; the repository benchmark (bench/perf) runs
+// the structural group and the rest as two calls to time lint layer by layer.
 struct LintPasses {
   // float-node / no-dc-path / vsource-* / self-connected / structural-* /
   // nonphysical-value / sram-* (needs the CircuitGraph).
@@ -37,9 +36,9 @@ struct LintPasses {
   bool temporal = true;  // protocol-* / units-* / power-* / data-*
   bool parse = true;     // parser-recorded diagnostics (subckt-unused-port, ...)
 
-  // Names already reported floating by a composed structural pass; seeds the
-  // dedupe set the power pass consumes when `structural` is false (the flat
-  // structural group normally fills it).
+  // Names a separate structural call already reported floating; seeds the
+  // dedupe set the power pass consumes when `structural` is false (the
+  // structural group fills it when it runs in the same call).
   std::unordered_set<std::string> preset_floating;
 };
 
@@ -56,12 +55,8 @@ LintReport lint_netlist_passes(const spice::ParsedNetlist& netlist,
                                const LintOptions& options,
                                LintPasses passes);
 
-// Hierarchical summary-based lint (lint/hier/): analyzes each .subckt
-// definition once, composes per-instance interface summaries, and runs the
-// top-level rules on the reduced (unflattened) card set — O(unique defs +
-// instances·ports) instead of O(flattened devices).  Verdict-identical to
-// lint_netlist(): whenever a definition or the composition cannot be
-// certified exact, the engine falls back to the flat path wholesale.
+// Forwards to lint_netlist().  Kept only because the frozen benchmark probe
+// bench/perf/lint_decks.cpp calls it; it goes with the next benchmark change.
 LintReport lint_netlist_hier(const spice::ParsedNetlist& netlist,
                              const LintOptions& options = {});
 

@@ -135,7 +135,6 @@ class ParserImpl {
         SubcktDef def = std::move(subckt_stack_.back());
         subckt_stack_.pop_back();
         diagnose_unused_ports(def);
-        record_subckt_info(def);
         subckts_[def.name] = std::move(def);
         return;
       }
@@ -179,14 +178,6 @@ class ParserImpl {
     } catch (const std::exception& e) {
       fail(e.what());
     }
-    // Record successfully parsed scope-0 card lines for the hierarchical
-    // lint engine's reduced netlist (everything the engine re-parses
-    // verbatim; X cards are summarized instead, and .probe may reference
-    // instance-internal nodes that do not exist without the flattened
-    // instances).
-    if (scopes_.empty() && head[0] != 'x' && head != ".probe") {
-      out_.record_top_card(line, line_no);
-    }
   }
 
   bool saw_any_card() const { return saw_card_; }
@@ -223,34 +214,6 @@ class ParserImpl {
       d.line = def.def_line;
       out_.add_parse_diagnostic(std::move(d));
     }
-  }
-
-  // Mirrors the definition into the netlist's hierarchy record with its
-  // content hash (FNV-1a over name, ports, and body text), the per-definition
-  // key of the lint summary cache.
-  void record_subckt_info(const SubcktDef& def) {
-    SubcktInfo info;
-    info.name = def.name;
-    info.ports = def.ports;
-    info.def_line = def.def_line;
-    info.body = def.body;
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](const std::string& s) {
-      for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-      }
-      h ^= static_cast<unsigned char>('\n');
-      h *= 1099511628211ull;
-    };
-    mix(def.name);
-    for (const auto& p : def.ports) mix(p);
-    for (const auto& [body_line, body_no] : def.body) {
-      (void)body_no;
-      mix(body_line);
-    }
-    info.content_hash = h == 0 ? 1 : h;
-    out_.record_subckt(std::move(info));
   }
 
   struct Scope {
@@ -534,22 +497,15 @@ class ParserImpl {
     }
     if (scopes_.size() >= 16) fail("subcircuit nesting too deep");
 
-    SubcktInstanceInfo inst;
-    inst.name = devname(t[0]);
-    inst.def = def.name;
-    inst.line = line_no_;
-    inst.depth = scopes_.size();
-
     Scope scope;
-    scope.prefix = devname(t[0]) + ".";
+    const std::string name = devname(t[0]);
+    scope.prefix = name + ".";
     for (std::size_t k = 0; k < def.ports.size(); ++k) {
       // Map the local port name to the caller's (already resolved) node.
       // Keys are lowercased: body references resolve case-insensitively.
-      const std::string bound = resolve_node(t[1 + k]);
-      inst.bindings.push_back(bound);
-      scope.ports.emplace(lower(def.ports[k]), bound);
+      scope.ports.emplace(lower(def.ports[k]), resolve_node(t[1 + k]));
     }
-    out_.record_instance(std::move(inst));
+    out_.record_instance(name);
     scopes_.push_back(std::move(scope));
     const int saved_line = line_no_;
     for (const auto& [body_line, body_no] : def.body) {

@@ -78,33 +78,6 @@ struct AcCard {
   int points_per_decade = 10;
 };
 
-// ---- hierarchy bookkeeping (filled by the parser) ----
-// The parser flattens .subckt instances into the Circuit, but the
-// hierarchical lint engine (lint/hier/) re-analyzes each definition once and
-// composes per-instance summaries, so the parse also records the raw
-// definitions, every instantiation site, and the top-level (scope-0) card
-// lines it flattened them from.
-
-struct SubcktInfo {
-  std::string name;                // definition name, lowercase
-  std::vector<std::string> ports;  // port names as written on .subckt
-  int def_line = -1;               // 1-based line of the .subckt card
-  // Comment-stripped body lines with their original line numbers.
-  std::vector<std::pair<std::string, int>> body;
-  // FNV-1a over name, ports, and body text: the per-definition lint-summary
-  // cache key (lint/lint_cache.h).  Never 0.
-  std::uint64_t content_hash = 1;
-};
-
-struct SubcktInstanceInfo {
-  std::string name;  // flattened device prefix, e.g. "X3" or "X3.X17"
-  std::string def;   // instantiated definition name, lowercase
-  // Resolved global node bound to each port, parallel to SubcktInfo::ports.
-  std::vector<std::string> bindings;
-  int line = -1;             // 1-based line of the X card
-  std::size_t depth = 0;     // 0 = instantiated at netlist top level
-};
-
 class ParsedNetlist {
  public:
   // The non-const accessor hands out mutable device state, so the cached
@@ -153,24 +126,12 @@ class ParsedNetlist {
   int node_line(const std::string& name) const;
 
   // ---- hierarchy bookkeeping (filled by the parser) ----
-  // Like the line maps these record parse facts, so they do not drop the
-  // content hash.
-  void record_subckt(SubcktInfo info) { subckts_.push_back(std::move(info)); }
-  void record_instance(SubcktInstanceInfo info) {
-    instance_prefixes_.insert(info.name + ".");
-    instances_.push_back(std::move(info));
-  }
-  void record_top_card(std::string line, int line_no) {
-    top_cards_.emplace_back(std::move(line), line_no);
-  }
-  const std::vector<SubcktInfo>& subckt_infos() const { return subckts_; }
-  const std::vector<SubcktInstanceInfo>& instance_infos() const {
-    return instances_;
-  }
-  // Raw scope-0 card lines (devices and directives; X cards, .probe, .subckt
-  // bodies, and .end excluded) with their original line numbers.
-  const std::vector<std::pair<std::string, int>>& top_card_lines() const {
-    return top_cards_;
+  // The parser flattens .subckt instances into the Circuit and records each
+  // instance's flattened device prefix (e.g. "X3" or "X3.X17"), so findings
+  // inside an instance can name it.  Like the line maps this records a
+  // parse fact, so it does not drop the content hash.
+  void record_instance(const std::string& prefix) {
+    instance_prefixes_.insert(prefix + ".");
   }
   // Hierarchical instance path of a flattened device/node name: the longest
   // instance-prefix chain with '.' rendered as '/', e.g. "X3.X17.M2" ->
@@ -267,10 +228,7 @@ class ParsedNetlist {
   std::optional<AcCard> ac_;
   std::unordered_map<std::string, int> device_lines_;
   std::unordered_map<std::string, int> node_lines_;
-  std::vector<SubcktInfo> subckts_;
-  std::vector<SubcktInstanceInfo> instances_;
   std::unordered_set<std::string> instance_prefixes_;  // "X3.", "X3.X17."
-  std::vector<std::pair<std::string, int>> top_cards_;
   std::unordered_map<std::string, std::string> role_annotations_;
   std::vector<lint::power::DomainAnnotation> domain_annotations_;
   std::optional<std::string> arch_annotation_;

@@ -120,8 +120,6 @@ StructuralReport analyze_structure(const Circuit& circuit, bool dc) {
     for (std::size_t r : matching.unmatched_rows()) {
       report.unsolvable_equations.push_back(make_defect(r, /*row=*/true));
     }
-  } else {
-    report.elimination_order = linalg::min_degree_order(report.pattern, matching);
   }
 
   // ---- equation blocks and ground reference ----

@@ -67,10 +67,8 @@ struct StructuralReport {
   std::size_t block_count = 0;             // components of the bipartite graph
   std::vector<FloatingBlock> floating_blocks;
 
-  // The analyzed pattern and, when nonsingular, a fill-reducing column
-  // elimination order (what SparseLu::analyze would choose).
+  // The analyzed MNA pattern (DC or transient, as requested).
   linalg::SparsityPattern pattern;
-  std::vector<std::size_t> elimination_order;
 
   bool clean() const {
     return !structurally_singular && dangling_branches.empty() &&

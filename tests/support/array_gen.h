@@ -1,5 +1,6 @@
-// Synthetic NV-SRAM array netlist generator for hierarchical-lint tests and
-// benchmarks.
+// Synthetic NV-SRAM array netlist generator for the array-scale lint tests
+// (tests/test_lint.cpp, LintArrays.*) and the repository benchmark's
+// lint_decks workload (bench/perf).
 //
 // Emits an N×M array of the paper's full NV-SRAM cell (netlists/
 // nvsram_cell_full.cir) as a single `.subckt nvcell` definition instantiated
@@ -7,11 +8,10 @@
 // store/restore control (sr, ctrl), one wordline strap per row and one
 // bit-line/bit-line-bar pair per column.  The schedule (write, store, power
 // off, restore) is the single-cell deck's verbatim, so the generated array
-// lints clean at every size — the hierarchical engine's fast path must
-// certify it.
+// lints clean at every size.
 //
 // `defect` injects a definition-local fault replicated into every instance,
-// for diagnostic-deduplication and differential-with-findings tests.
+// for exact-findings and diagnostic-deduplication tests.
 #pragma once
 
 #include <string>

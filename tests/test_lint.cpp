@@ -1,11 +1,16 @@
 // Static-analysis (lint) layer: one targeted test per rule, regression that
-// every shipped netlist lints clean, and the run_* fail-fast gating.
+// every shipped netlist lints clean, exact findings on generated NV-SRAM
+// arrays, and the run_* fail-fast gating.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "lint/lint_cache.h"
 #include "lint/linter.h"
@@ -13,14 +18,18 @@
 #include "lint/rules.h"
 #include "spice/elements.h"
 #include "spice/netlist_parser.h"
+#include "support/array_gen.h"
 
 namespace nvsram {
 namespace {
 
+using lint::Diagnostic;
 using lint::LintOptions;
 using lint::LintReport;
 using lint::Severity;
 using spice::NetlistParser;
+using testsupport::ArrayDefect;
+using testsupport::make_nvsram_array_netlist;
 
 std::unique_ptr<spice::ParsedNetlist> parse(const std::string& text) {
   NetlistParser p;
@@ -474,6 +483,125 @@ TEST(LintRegression, AllShippedNetlistsLintClean) {
         << entry.path() << " has diagnostics:\n" << report.format();
   }
   EXPECT_GE(seen, 5u) << "netlists/ should ship at least the five seeds";
+}
+
+// ---- regression: generated NV-SRAM arrays -----------------------------------
+// Exact findings on tests/support/array_gen decks.  A definition-local defect
+// replicates into every instance, so the counts scale with the array.
+
+using Verdict = std::map<std::pair<std::string, Severity>, int>;
+
+Verdict lint_verdict(const std::string& deck, const LintOptions& options = {}) {
+  const LintReport report = parse(deck)->lint(options);
+  Verdict v;
+  for (const auto& d : report.diagnostics()) ++v[{d.rule, d.severity}];
+  return v;
+}
+
+std::string describe(const Verdict& v) {
+  std::ostringstream ss;
+  for (const auto& [key, count] : v) {
+    ss << key.first << " (" << lint::to_string(key.second) << ") x" << count
+       << "\n";
+  }
+  return ss.str();
+}
+
+TEST(LintArrays, CleanArraysHaveNoFindings) {
+  for (const int n : {4, 16, 64}) {
+    const Verdict got = lint_verdict(make_nvsram_array_netlist(n, n));
+    EXPECT_TRUE(got.empty()) << n << "x" << n << ":\n" << describe(got);
+  }
+}
+
+TEST(LintArrays, FloatNodeDefectFindings) {
+  const Verdict want = {
+      {{lint::rules::kFloatNode, Severity::kWarning}, 256},
+      {{lint::rules::kNoDcPath, Severity::kError}, 256},
+      // The linter names at most 8 undetermined unknowns and 8 unsolvable
+      // equations.
+      {{lint::rules::kStructuralSingular, Severity::kError}, 16},
+  };
+  const Verdict got =
+      lint_verdict(make_nvsram_array_netlist(16, 16, ArrayDefect::kFloatNode));
+  EXPECT_EQ(got, want) << describe(got);
+}
+
+TEST(LintArrays, UnusedPortDefectFiresOncePerDefinition) {
+  const Verdict want = {
+      {{lint::rules::kSubcktUnusedPort, Severity::kWarning}, 1},
+  };
+  const Verdict got =
+      lint_verdict(make_nvsram_array_netlist(16, 16, ArrayDefect::kUnusedPort));
+  EXPECT_EQ(got, want) << describe(got);
+}
+
+TEST(LintArrays, BadValueDefectFindings) {
+  const Verdict want = {
+      {{lint::rules::kNonphysicalValue, Severity::kError}, 256},
+  };
+  const Verdict got =
+      lint_verdict(make_nvsram_array_netlist(16, 16, ArrayDefect::kBadValue));
+  EXPECT_EQ(got, want) << describe(got);
+}
+
+// The generated deck carries the NVPG-style store/gate/restore schedule; the
+// .arch card switches the protocol pass's state machine, so one deck per
+// architecture exercises all three temporal rule sets.
+TEST(LintArrays, ArchAnnotatedDecksAreClean) {
+  for (const char* arch : {"nvpg", "nof", "osr"}) {
+    const Verdict got = lint_verdict(make_nvsram_array_netlist(2, 2) +
+                                     ".arch " + std::string(arch) + "\n");
+    EXPECT_TRUE(got.empty()) << ".arch " << arch << ":\n" << describe(got);
+  }
+}
+
+TEST(LintArrays, OptionsFilterDefectFindings) {
+  LintOptions options;
+  options.disable(lint::rules::kFloatNode);
+  options.min_severity = Severity::kWarning;
+  const Verdict want = {
+      {{lint::rules::kNoDcPath, Severity::kError}, 16},
+      {{lint::rules::kStructuralSingular, Severity::kError}, 16},
+  };
+  const Verdict got = lint_verdict(
+      make_nvsram_array_netlist(4, 4, ArrayDefect::kFloatNode), options);
+  EXPECT_EQ(got, want) << describe(got);
+}
+
+// ---- subckt-unused-port attribution (regression) ----------------------------
+// The unused-port diagnostic must fire once per definition, attributed to
+// the .subckt card's line, and must treat port references in the body
+// case-insensitively (ports resolve case-insensitively, so "BL" used as
+// "bl" is not unused).
+
+TEST(SubcktUnusedPort, AttributionAndCaseFolding) {
+  const char* deck =
+      "unused port attribution\n"
+      ".subckt cell BL wl nc\n"
+      "R1 bl wl 1k\n"
+      ".ends\n"
+      "V1 a 0 DC 1.0\n"
+      "X1 a b c cell\n"
+      "X2 a b c cell\n"
+      "R9 b 0 1k\n"
+      "R8 c 0 1k\n"
+      ".end\n";
+  NetlistParser parser;
+  auto nl = parser.parse(deck);
+  const LintReport report = nvsram::lint::lint_netlist(*nl);
+  std::vector<const Diagnostic*> unused;
+  for (const auto& d : report.diagnostics()) {
+    if (d.rule == nvsram::lint::rules::kSubcktUnusedPort) unused.push_back(&d);
+  }
+  ASSERT_EQ(unused.size(), 1u)
+      << "one finding per definition, not per instance";
+  // "BL" is referenced as "bl" in the body: only "nc" is unused.
+  EXPECT_NE(unused[0]->message.find("'nc'"), std::string::npos)
+      << unused[0]->message;
+  EXPECT_EQ(unused[0]->message.find("'BL'"), std::string::npos)
+      << unused[0]->message;
+  EXPECT_EQ(unused[0]->line, 2) << "attributed to the .subckt card line";
 }
 
 // ---- lint-result cache ------------------------------------------------------
