@@ -103,10 +103,10 @@ BENCHMARK(BM_SparseLuRefactor)->Arg(10)->Arg(20)->Arg(40);
 // the sparse KLU-style path), each point a slightly different VDD trim, all
 // warm-started from a common operating point.  The points share a topology
 // and so a sparsity pattern.  BM_ScalarNewtonSweep gives every point a
-// fresh NewtonWorkspace (one symbolic analysis per point);
-// BM_SharedWorkspaceNewtonSweep carries one workspace across every point
-// and iteration, so the analysis runs once and each later solve only
-// refactors.  Both report points/s.
+// fresh NewtonWorkspace (one assembly plan and one symbolic analysis per
+// point); BM_SharedWorkspaceNewtonSweep carries one workspace across every
+// point and iteration, so the plan and the analysis are made once and each
+// later solve only accumulates stamps and refactors.  Both report points/s.
 struct SweepDcWorkload {
   explicit SweepDcWorkload(std::size_t k) {
     sram::ArrayOptions aopts;
@@ -124,9 +124,11 @@ struct SweepDcWorkload {
     warm.assign(layouts[0].unknown_count(), 0.0);
     spice::RecoveryOptions recovery;
     recovery.source_ramp_from_zero = true;
+    spice::NewtonWorkspace ws;
     const auto r = spice::solve_newton_with_recovery(
         tbs[0]->circuit(), layouts[0], warm, /*time=*/0.0, /*dt=*/0.0,
-        /*dc=*/true, spice::IntegrationMethod::kBackwardEuler, opts, recovery);
+        /*dc=*/true, spice::IntegrationMethod::kBackwardEuler, opts, recovery,
+        ws);
     warm_ok = r.converged;
   }
 
@@ -154,7 +156,7 @@ void run_newton_sweep(benchmark::State& state, bool shared_workspace) {
       const auto r = spice::solve_newton(
           w.tbs[l]->circuit(), w.layouts[l], x, /*time=*/0.0, /*dt=*/0.0,
           /*dc=*/true, spice::IntegrationMethod::kBackwardEuler, w.opts,
-          shared_workspace ? &shared : &fresh);
+          shared_workspace ? shared : fresh);
       solved += r.converged ? 1 : 0;
       benchmark::DoNotOptimize(x);
     }
@@ -169,7 +171,8 @@ void run_newton_sweep(benchmark::State& state, bool shared_workspace) {
   std::string label =
       std::to_string(w.layouts[0].unknown_count()) + " unknowns/point";
   if (shared_workspace) {
-    label += ", " + std::to_string(shared.analyze_count) + " analyses";
+    label += ", " + std::to_string(shared.plan_count) + " plans, " +
+             std::to_string(shared.analyze_count) + " analyses";
   }
   state.SetLabel(label);
 }

@@ -67,8 +67,7 @@ DenseMatrix CsrMatrix::to_dense() const {
 }
 
 void CsrMatrix::to_dense_into(DenseMatrix& out) const {
-  out.resize(n_, n_);
-  out.set_zero();
+  out.resize(n_, n_);  // zero-fills
   for (std::size_t r = 0; r < n_; ++r) {
     for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
       out(r, col_idx_[k]) = values_[k];
@@ -76,13 +75,13 @@ void CsrMatrix::to_dense_into(DenseMatrix& out) const {
   }
 }
 
-void CsrAssembler::assemble(const SparseBuilder& builder, CsrMatrix& out) {
+bool CsrAssembler::assemble(const SparseBuilder& builder, CsrMatrix& out) {
   if (!planned_ || !plan_matches(builder)) {
     // Position sequence changed (or first call): fall back to the sorting
     // constructor and record its layout for subsequent assemblies.
     out = CsrMatrix(builder);
     replan(builder, out);
-    return;
+    return true;
   }
   out.n_ = n_;
   out.row_ptr_ = row_ptr_;
@@ -92,6 +91,7 @@ void CsrAssembler::assemble(const SparseBuilder& builder, CsrMatrix& out) {
   for (std::size_t i = 0; i < t.size(); ++i) {
     out.values_[slot_[i]] += t[i].value;
   }
+  return false;
 }
 
 bool CsrAssembler::plan_matches(const SparseBuilder& builder) const {

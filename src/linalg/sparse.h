@@ -82,8 +82,9 @@ class CsrMatrix {
 // A builder whose position sequence changed is detected and replanned.
 class CsrAssembler {
  public:
-  // Assembles `builder` into `out`, reusing out's storage.
-  void assemble(const SparseBuilder& builder, CsrMatrix& out);
+  // Assembles `builder` into `out`, reusing out's storage.  Returns true
+  // when this call (re)planned, i.e. ran the sorting constructor.
+  bool assemble(const SparseBuilder& builder, CsrMatrix& out);
 
  private:
   bool plan_matches(const SparseBuilder& builder) const;

@@ -36,8 +36,8 @@ std::optional<DCSolution> DCAnalysis::solve(const linalg::Vector* initial_guess)
   const util::Deadline deadline(options_.max_wall_seconds);
   const NewtonResult r = solve_newton_with_recovery(
       circuit_, layout_, x, /*time=*/0.0, /*dt=*/0.0, /*dc=*/true,
-      IntegrationMethod::kBackwardEuler, options_.newton, recovery,
-      deadline.unlimited() ? nullptr : &deadline, &ws_);
+      IntegrationMethod::kBackwardEuler, options_.newton, recovery, ws_,
+      deadline.unlimited() ? nullptr : &deadline);
   last_diag_ = r.diagnostics;
   if (!r.converged) {
     util::log_warn() << "DC: no operating point: " << last_diag_.describe();

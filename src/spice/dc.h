@@ -60,8 +60,8 @@ class DCAnalysis {
   DCOptions options_;
   MnaLayout layout_;
   SolveDiagnostics last_diag_;
-  // Symbolic LU analysis shared by every solve() on this analysis (sparse
-  // systems only; repeat solves with an unchanged pattern skip it).
+  // Assembly plan and LU analysis shared by every solve() on this analysis,
+  // so repeat solves on an unchanged circuit skip both.
   NewtonWorkspace ws_;
 };
 

@@ -47,18 +47,24 @@ std::size_t first_non_finite(const linalg::Vector& v) {
 NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
                           linalg::Vector& x, double time, double dt, bool dc,
                           IntegrationMethod method, const NewtonOptions& opts,
-                          NewtonWorkspace* ws) {
+                          NewtonWorkspace& ws) {
   const std::size_t n = layout.unknown_count();
   const std::size_t node_unknowns = layout.node_count() - 1;
   constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
   x.resize(n, 0.0);
 
-  linalg::SparseBuilder builder(n);
-  linalg::Vector rhs(n, 0.0);
+  linalg::SparseBuilder& builder = ws.builder;
+  linalg::Vector& rhs = ws.rhs;
+  builder.resize(n);
   NewtonResult result;
   SolveDiagnostics& diag = result.diagnostics;
   diag.time = time;
   diag.last_dt = dt;
+  // The unknown diag.worst_node names; resolved to a string only on return.
+  std::size_t worst = kNpos;
+  const auto name_worst = [&] {
+    if (worst != kNpos) diag.worst_node = unknown_name(circuit, layout, worst);
+  };
 
   FaultPlan* faults = circuit.fault_plan();
   const int solve_index = faults ? faults->begin_solve() : 0;
@@ -79,7 +85,7 @@ NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
     result.iterations = iter;
     diag.iterations = iter;
     builder.clear();
-    std::fill(rhs.begin(), rhs.end(), 0.0);
+    rhs.assign(n, 0.0);
 
     StampContext ctx(layout, x, builder, rhs, time, dt, dc, method,
                      opts.source_scale);
@@ -104,6 +110,7 @@ NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
           diag.non_finite_device = dev->name();
           util::log_warn() << "newton: non-finite stamp from device '"
                            << dev->name() << "' at t=" << time;
+          name_worst();
           return result;
         }
       }
@@ -111,7 +118,8 @@ NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
     }
     if (const std::size_t bad = first_non_finite(rhs); bad != kNpos) {
       diag.non_finite = NonFiniteSite::kRhs;
-      diag.worst_node = unknown_name(circuit, layout, bad);
+      worst = bad;
+      name_worst();
       util::log_warn() << "newton: non-finite RHS at '" << diag.worst_node
                        << "', t=" << time;
       return result;
@@ -122,11 +130,13 @@ NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
       builder.add(i, i, opts.gmin);
     }
 
-    const linalg::CsrMatrix a(builder);
+    if (ws.assembler.assemble(builder, ws.matrix)) ws.plan_count++;
+    const linalg::CsrMatrix& a = ws.matrix;
     std::optional<linalg::Vector> solved;
     if (n <= linalg::kDenseCutoff) {
-      linalg::LuFactorization lu;
-      if (lu.factorize(a.to_dense())) {
+      linalg::LuFactorization& lu = ws.dense_lu;
+      a.to_dense_into(ws.dense);
+      if (lu.factorize(ws.dense)) {
         solved = lu.solve(rhs);
         diag.structure = StructuralVerdict::kSound;
       } else {
@@ -145,26 +155,24 @@ NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
         }
       }
     } else {
-      // Sparse path: KLU-style analyze (symbolic, pattern-only) + refactor
-      // (numeric).  A caller-provided workspace keeps the analysis across
-      // solves; without one a local analysis gives bit-identical numerics.
-      linalg::SparseLu local;
-      linalg::SparseLu& lu = ws ? ws->sparse_lu : local;
+      // Sparse path: KLU-style analyze (symbolic, pattern-only) once per
+      // pattern, then refactor (numeric) on every iteration.
+      linalg::SparseLu& lu = ws.sparse_lu;
       bool ok = false;
       bool analyzed = lu.analyzed() && lu.pattern_matches(a);
       if (!analyzed) {
         analyzed = lu.analyze(a);
-        if (analyzed && ws) ws->analyze_count++;
+        if (analyzed) ws.analyze_count++;
       }
       if (analyzed) {
         diag.structure = StructuralVerdict::kSound;
         ok = lu.refactor(a);
-        if (ws) ws->refactor_count++;
+        ws.refactor_count++;
         if (!ok && !lu.non_finite()) {
           // Numeric failure of the fixed matching-based pivot order; the
           // threshold-pivoting one-shot factorization may still succeed.
           ok = lu.factorize(a);
-          if (ws) ws->fallback_count++;
+          ws.fallback_count++;
         }
       } else {
         diag.structure = StructuralVerdict::kSingular;
@@ -180,8 +188,9 @@ NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
       result.singular = diag.non_finite == NonFiniteSite::kNone;
       diag.singular = result.singular;
       if (diag.singular_pivot != SolveDiagnostics::kNoPivot) {
-        diag.worst_node = unknown_name(circuit, layout, diag.singular_pivot);
+        worst = diag.singular_pivot;
       }
+      name_worst();
       util::log_warn() << "newton: "
                        << (diag.singular ? "singular system"
                                          : "non-finite LU factor")
@@ -191,7 +200,8 @@ NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
     }
     if (const std::size_t bad = first_non_finite(*solved); bad != kNpos) {
       diag.non_finite = NonFiniteSite::kSolution;
-      diag.worst_node = unknown_name(circuit, layout, bad);
+      worst = bad;
+      name_worst();
       util::log_warn() << "newton: non-finite solution at '" << diag.worst_node
                        << "', t=" << time;
       return result;
@@ -218,7 +228,7 @@ NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
       }
     }
     if (worst_index != kNpos) {
-      diag.worst_node = unknown_name(circuit, layout, worst_index);
+      worst = worst_index;
       diag.worst_delta = worst_delta;
       diag.worst_tol = worst_tol;
     }
@@ -226,6 +236,7 @@ NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
       x = std::move(*solved);
       result.converged = true;
       diag.converged = true;
+      name_worst();
       return result;
     }
 
@@ -242,6 +253,7 @@ NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
     }
   }
   if (stalled) diag.injected = true;
+  name_worst();
   return result;
 }
 
@@ -252,8 +264,8 @@ NewtonResult solve_newton_with_recovery(Circuit& circuit,
                                         IntegrationMethod method,
                                         const NewtonOptions& opts,
                                         const RecoveryOptions& recovery,
-                                        const util::Deadline* deadline,
-                                        NewtonWorkspace* ws) {
+                                        NewtonWorkspace& ws,
+                                        const util::Deadline* deadline) {
   const linalg::Vector x0 = x;
 
   NewtonResult plain =

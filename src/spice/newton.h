@@ -12,6 +12,8 @@
 #pragma once
 
 #include "linalg/dense.h"
+#include "linalg/lu.h"
+#include "linalg/sparse.h"
 #include "linalg/sparse_lu.h"
 #include "spice/circuit.h"
 #include "spice/device.h"
@@ -35,13 +37,29 @@ struct NewtonOptions {
   NewtonOptions relaxed(int attempt) const;
 };
 
-// Per-analysis solver state that persists across Newton solves on one
-// circuit.  Holds the SparseLu symbolic analysis so re-solves on an
-// unchanged sparsity pattern skip the matching / ordering / symbolic
-// factorization and go straight to numerics (KLU-style refactorization).
-// The counters make the reuse observable in tests and benches.
+// Everything a Newton solve writes besides its result: the stamp list and
+// RHS that each iteration clears and refills, the CSR assembly plan with
+// the matrix it fills, and the LU factorizations (dense at or below
+// linalg::kDenseCutoff unknowns, SparseLu above it).
+//
+// Devices stamp the same (row, col) sequence on every iteration of a fixed
+// topology, so the assembler sorts the stamps into CSR once (a "plan") and
+// every later assembly is one accumulation pass over the stamps, which is
+// bit-identical to the sort.  Likewise SparseLu analyzes the pattern once
+// and later solves only refactor (KLU-style).  A changed stamp sequence
+// replans and a changed pattern re-analyzes, so results never depend on
+// what the workspace held before.  One analysis keeps one workspace across
+// all its solves; the counters make that reuse observable in tests and
+// benches.
 struct NewtonWorkspace {
+  linalg::SparseBuilder builder;
+  linalg::Vector rhs;
+  linalg::CsrAssembler assembler;
+  linalg::CsrMatrix matrix;
+  linalg::DenseMatrix dense;
+  linalg::LuFactorization dense_lu;
   linalg::SparseLu sparse_lu;
+  std::size_t plan_count = 0;      // CSR assembly (re)plans: stamp sorts
   std::size_t analyze_count = 0;   // symbolic analyses performed
   std::size_t refactor_count = 0;  // numeric-only refactorizations
   std::size_t fallback_count = 0;  // refactor pivot failures -> full factorize
@@ -78,15 +96,13 @@ std::string unknown_name(const Circuit& circuit, const MnaLayout& layout,
 // Solves the system at (time, dt); `x` carries the initial guess in and the
 // solution out.  `dc` selects the operating-point companion (capacitors
 // open).  Branch unknown indices start at layout.node_count()-1.
-// `ws` (optional) carries the symbolic LU analysis between solves; pass the
-// same workspace for every solve on one circuit to reuse the analysis
-// whenever the sparsity pattern is unchanged.  Results are bit-identical
-// with and without a workspace (both paths run the same analyze+refactor
-// numerics; the workspace only skips redundant symbolic work).
+// Pass the same `ws` to every solve on one circuit: only the first then
+// plans the assembly and analyzes the pattern.  A fresh workspace and one
+// already planned (for this circuit or another) give bit-identical results.
 NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
                           linalg::Vector& x, double time, double dt, bool dc,
                           IntegrationMethod method, const NewtonOptions& opts,
-                          NewtonWorkspace* ws = nullptr);
+                          NewtonWorkspace& ws);
 
 // solve_newton plus the recovery ladder: on failure escalates through
 // gmin-ramping and source-ramping at the same timepoint.  On success the
@@ -107,7 +123,7 @@ NewtonResult solve_newton_with_recovery(Circuit& circuit,
                                         IntegrationMethod method,
                                         const NewtonOptions& opts,
                                         const RecoveryOptions& recovery,
-                                        const util::Deadline* deadline = nullptr,
-                                        NewtonWorkspace* ws = nullptr);
+                                        NewtonWorkspace& ws,
+                                        const util::Deadline* deadline = nullptr);
 
 }  // namespace nvsram::spice

@@ -145,7 +145,7 @@ Waveform TranAnalysis::run(const DCSolution* initial) {
     linalg::Vector x_new = x_pred;
     NewtonResult nr =
         solve_newton(circuit_, layout_, x_new, t + dt_try, dt_try, /*dc=*/false,
-                     options_.method, options_.newton, &ws_);
+                     options_.method, options_.newton, ws_);
     stats_.total_newton_iterations += static_cast<std::size_t>(nr.iterations);
 
     bool salvaged = false;
@@ -164,10 +164,9 @@ Waveform TranAnalysis::run(const DCSolution* initial) {
         x_new = x;
         nr = solve_newton_with_recovery(circuit_, layout_, x_new, t + dt_try,
                                         dt_try, /*dc=*/false, options_.method,
-                                        options_.newton, recovery,
+                                        options_.newton, recovery, ws_,
                                         watchdog.unlimited() ? nullptr
-                                                             : &watchdog,
-                                        &ws_);
+                                                             : &watchdog);
         stats_.total_newton_iterations +=
             static_cast<std::size_t>(nr.iterations);
       }

@@ -91,8 +91,8 @@ class TranAnalysis {
   MnaLayout layout_;
   TranStats stats_;
   std::unordered_map<std::string, double> energies_;
-  // Symbolic LU analysis shared by every Newton solve of the run (the
-  // sparsity pattern is fixed per circuit, so it is computed once).
+  // Assembly plan and LU analysis shared by every Newton solve of the run
+  // (the stamp sequence is fixed per circuit, so each is computed once).
   NewtonWorkspace ws_;
 };
 

@@ -143,6 +143,116 @@ TEST(Csr, RejectsOutOfRange) {
   EXPECT_THROW(CsrMatrix{builder}, std::out_of_range);
 }
 
+// ---- CSR assembly plan ----------------------------------------------------------
+
+// Seeded stamp list with repeated positions.  Slot (1, 1) also receives
+// 1e16, 1.0, -1e16 and 1.0, spread through the list.  A 1.0 added while
+// one large term is pending rounds away, so the sum is 1 in stamp order
+// and 0 or 2 when the duplicates are accumulated in another order.
+SparseBuilder random_stamps(std::size_t n, std::size_t count, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<std::size_t> idx(0, n - 1);
+  std::uniform_real_distribution<double> val(-2.0, 2.0);
+  SparseBuilder builder(n);
+  const double sensitive[] = {1e16, 1.0, -1e16, 1.0};
+  const std::size_t stride = count / 4;
+  for (std::size_t k = 0; k < count; ++k) {
+    builder.add(idx(rng), idx(rng), val(rng));
+    if (k % stride == 0 && k / stride < 4) {
+      builder.add(1, 1, sensitive[k / stride]);
+    }
+  }
+  return builder;
+}
+
+// Same positions, new values; slot (1, 1) keeps its order-sensitive ones.
+SparseBuilder restamped(const SparseBuilder& b, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> val(-2.0, 2.0);
+  SparseBuilder out(b.dimension());
+  for (const auto& t : b.triplets()) {
+    out.add(t.row, t.col, t.row == 1 && t.col == 1 ? t.value : val(rng));
+  }
+  return out;
+}
+
+void expect_same_csr(const CsrMatrix& got, const CsrMatrix& want) {
+  EXPECT_EQ(got.dimension(), want.dimension());
+  EXPECT_EQ(got.row_ptr(), want.row_ptr());
+  EXPECT_EQ(got.col_idx(), want.col_idx());
+  EXPECT_EQ(got.values(), want.values());  // element-wise ==, bit for bit
+}
+
+TEST(CsrAssembler, FirstCallMatchesSortingConstructor) {
+  for (unsigned seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const SparseBuilder b = random_stamps(12, 90, seed);
+    CsrAssembler assembler;
+    CsrMatrix out;
+    EXPECT_TRUE(assembler.assemble(b, out)) << "the first call plans";
+    expect_same_csr(out, CsrMatrix(b));
+  }
+  // The order-sensitive slot alone: stamp order gives exactly 1.
+  SparseBuilder b(2);
+  b.add(1, 1, 1e16);
+  b.add(0, 0, 2.0);
+  b.add(1, 1, 1.0);
+  b.add(1, 1, -1e16);
+  b.add(1, 1, 1.0);
+  CsrAssembler assembler;
+  CsrMatrix out;
+  assembler.assemble(b, out);
+  EXPECT_EQ(out.at(1, 1), 1.0);
+}
+
+TEST(CsrAssembler, RepeatedCallsWithNewValuesReuseThePlan) {
+  for (unsigned seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const SparseBuilder first = random_stamps(12, 90, seed);
+    CsrAssembler assembler;
+    CsrMatrix out;
+    ASSERT_TRUE(assembler.assemble(first, out));
+    for (unsigned round = 1; round <= 4; ++round) {
+      const SparseBuilder b = restamped(first, 100 * seed + round);
+      EXPECT_FALSE(assembler.assemble(b, out))
+          << "round " << round << ": unchanged positions must not replan";
+      expect_same_csr(out, CsrMatrix(b));
+    }
+  }
+}
+
+TEST(CsrAssembler, ChangedPositionSequenceReplans) {
+  const SparseBuilder base = random_stamps(12, 90, 7);
+
+  SparseBuilder extra = base;
+  extra.add(3, 5, 0.25);
+
+  // The middle stamp moved one column over (wrapping at the edge).
+  const auto& t = base.triplets();
+  SparseBuilder moved(base.dimension());
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    const std::size_t col =
+        i == t.size() / 2 ? (t[i].col + 1) % base.dimension() : t[i].col;
+    moved.add(t[i].row, col, t[i].value);
+  }
+
+  const SparseBuilder bigger = random_stamps(15, 110, 7);
+
+  const SparseBuilder* const changes[] = {&extra, &moved, &bigger};
+  for (const SparseBuilder* changed : changes) {
+    CsrAssembler assembler;
+    CsrMatrix out;
+    ASSERT_TRUE(assembler.assemble(base, out));
+    EXPECT_TRUE(assembler.assemble(*changed, out))
+        << "a changed position sequence must replan";
+    expect_same_csr(out, CsrMatrix(*changed));
+    // The new plan is reused from then on.
+    const SparseBuilder again = restamped(*changed, 11);
+    EXPECT_FALSE(assembler.assemble(again, out));
+    expect_same_csr(out, CsrMatrix(again));
+  }
+}
+
 // ---- sparse LU ------------------------------------------------------------------
 
 TEST(SparseLuTest, SolvesSmallAsymmetric) {

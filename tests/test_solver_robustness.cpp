@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <limits>
+#include <set>
+#include <string>
 
 #include "linalg/lu.h"
 #include "linalg/sparse.h"
@@ -77,6 +79,31 @@ TEST(NewtonRobustness, WarmStartSelectsIntendedState) {
       EXPECT_GT(sol->node_voltage(f.qb), 0.85);
     }
   }
+}
+
+TEST(NewtonRobustness, IterationCapNamesTheWorstUnknown) {
+  // One Newton iteration from zero cannot settle the latch; the failure
+  // must still name the unknown furthest outside its tolerance.
+  LatchFixture f;
+  DCOptions opts;
+  opts.newton.max_iterations = 1;
+  opts.recovery.gmin_ramp = false;
+  opts.recovery.source_ramp = false;
+  DCAnalysis dc(f.ckt, opts);
+  ASSERT_FALSE(dc.solve().has_value());
+  const SolveDiagnostics& diag = dc.last_diagnostics();
+  ASSERT_FALSE(diag.worst_node.empty());
+  const MnaLayout layout = f.ckt.build_layout();
+  std::set<std::string> names;
+  for (std::size_t i = 0; i < layout.unknown_count(); ++i) {
+    names.insert(unknown_name(f.ckt, layout, i));
+  }
+  EXPECT_TRUE(names.count(diag.worst_node))
+      << "'" << diag.worst_node << "' names no node or branch[k]";
+  EXPECT_GT(diag.worst_delta, diag.worst_tol);
+  EXPECT_NE(diag.describe().find("worst '" + diag.worst_node + "'"),
+            std::string::npos)
+      << diag.describe();
 }
 
 TEST(NewtonRobustness, ConflictingVoltageSourcesFail) {

@@ -1,8 +1,9 @@
 // Structural MNA analysis: the linalg structure pass, analyze_structure
 // fixtures (floating gates, dangling branches, disconnected blocks), the
 // nvlint structural rules, the no-false-positive sweep over every shipped
-// netlist and testbench circuit, and the NewtonWorkspace symbolic reuse
-// (bit-identical results, analyze-once counters).
+// netlist and testbench circuit, and the NewtonWorkspace reuse of its
+// assembly plan and symbolic analysis (bit-identical results, plan-once and
+// analyze-once counters).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -342,7 +343,7 @@ TEST(StructuralAnalysis, ArrayScalePatternIsClean) {
   expect_min_degree_permutation(report);
 }
 
-// ---- NewtonWorkspace: symbolic reuse ----------------------------------------
+// ---- NewtonWorkspace: assembly plan and symbolic reuse ----------------------
 
 sram::ArrayTestbench make_array_bench(double vdd_trim = 0.0) {
   sram::ArrayOptions opts;
@@ -354,37 +355,50 @@ sram::ArrayTestbench make_array_bench(double vdd_trim = 0.0) {
   return sram::ArrayTestbench(pp, opts);
 }
 
-TEST(NewtonWorkspace, ResultsAreBitIdenticalWithAndWithoutWorkspace) {
-  // Two identically constructed array circuits (above the dense cutoff, so
-  // both go through SparseLu); one solve carries a workspace, one does not.
+TEST(NewtonWorkspace, FreshAndAlreadyPlannedWorkspacesAgree) {
+  // Three identically constructed array circuits (above the dense cutoff,
+  // so the sparse path).  `planned` solves the first one, so it enters the
+  // compared solve with its assembly plan and LU analysis in place; the
+  // other compared solve starts from a fresh workspace.
+  auto tb0 = make_array_bench();
   auto tb1 = make_array_bench();
   auto tb2 = make_array_bench();
+  const spice::MnaLayout l0 = tb0.circuit().build_layout();
   const spice::MnaLayout l1 = tb1.circuit().build_layout();
   const spice::MnaLayout l2 = tb2.circuit().build_layout();
   ASSERT_GT(l1.unknown_count(), linalg::kDenseCutoff);
   ASSERT_EQ(l1.unknown_count(), l2.unknown_count());
 
+  const spice::NewtonOptions opts;
+  spice::NewtonWorkspace planned;
+  linalg::Vector x0(l0.unknown_count(), 0.0);
+  ASSERT_TRUE(spice::solve_newton(tb0.circuit(), l0, x0, 0.0, 0.0,
+                                  /*dc=*/true,
+                                  spice::IntegrationMethod::kTrapezoidal,
+                                  opts, planned)
+                  .converged);
+  ASSERT_EQ(planned.plan_count, 1u);
+
   linalg::Vector x1(l1.unknown_count(), 0.0);
   linalg::Vector x2(l2.unknown_count(), 0.0);
-  const spice::NewtonOptions opts;
-  spice::NewtonWorkspace ws;
+  spice::NewtonWorkspace fresh;
   const auto r1 =
       spice::solve_newton(tb1.circuit(), l1, x1, 0.0, 0.0, /*dc=*/true,
-                          spice::IntegrationMethod::kTrapezoidal, opts);
+                          spice::IntegrationMethod::kTrapezoidal, opts, fresh);
   const auto r2 =
       spice::solve_newton(tb2.circuit(), l2, x2, 0.0, 0.0, /*dc=*/true,
-                          spice::IntegrationMethod::kTrapezoidal, opts, &ws);
+                          spice::IntegrationMethod::kTrapezoidal, opts, planned);
   EXPECT_EQ(r1.converged, r2.converged);
   EXPECT_EQ(r1.iterations, r2.iterations);
-  for (std::size_t i = 0; i < x1.size(); ++i) {
-    EXPECT_EQ(x1[i], x2[i]) << "unknown " << i << " diverged";
-  }
+  EXPECT_EQ(x1, x2);
+  EXPECT_EQ(fresh.plan_count, 1u) << "one stamp sequence, one plan";
+  EXPECT_EQ(planned.plan_count, 1u) << "same topology: the plan carries over";
   // Reuse must dominate: far more numeric refactors than symbolic analyses.
   // (A cold start can cost an extra analysis when the all-cutoff first
   // iterate defeats the fixed pivot order and the threshold-pivoting
   // fallback invalidates it.)
-  EXPECT_GE(ws.analyze_count, 1u);
-  EXPECT_GT(ws.refactor_count, ws.analyze_count);
+  EXPECT_GE(fresh.analyze_count, 1u);
+  EXPECT_GT(fresh.refactor_count, fresh.analyze_count);
 }
 
 TEST(NewtonWorkspace, WarmResolveReusesTheSymbolicAnalysis) {
@@ -406,11 +420,38 @@ TEST(NewtonWorkspace, WarmResolveReusesTheSymbolicAnalysis) {
   EXPECT_GT(dc.workspace().refactor_count, refactors);
 }
 
+TEST(NewtonWorkspace, ColdAndWarmSolvesPlanOnce) {
+  // Every iteration of every solve on one circuit stamps the same position
+  // sequence, so a cold solve (with whatever recovery it needs) plus a warm
+  // re-solve sort the stamps exactly once: on the NV cell (dense LU) and
+  // on the 6x6 array (sparse LU).
+  sram::CellTestbench cell(sram::CellKind::kNvSram, PaperParams::table1());
+  auto array = make_array_bench();
+  struct Case {
+    const char* name;
+    Circuit& circuit;
+    bool sparse;
+  };
+  for (const Case& c : {Case{"NV cell", cell.circuit(), false},
+                        Case{"6x6 array", array.circuit(), true}}) {
+    SCOPED_TRACE(c.name);
+    ASSERT_EQ(c.circuit.build_layout().unknown_count() > linalg::kDenseCutoff,
+              c.sparse);
+    spice::DCAnalysis dc(c.circuit);
+    const auto cold = dc.solve();
+    ASSERT_TRUE(cold.has_value());
+    const linalg::Vector guess = cold->raw();
+    ASSERT_TRUE(dc.solve(&guess).has_value());
+    EXPECT_EQ(dc.workspace().plan_count, 1u);
+  }
+}
+
 TEST(NewtonWorkspace, SharedAcrossSweepPointsMatchesFresh) {
   // Adjacent sweep points (VDD trims) on one array topology, each
   // warm-started from the first point's operating point.  One workspace
   // carried across the points reproduces fresh per-point solves bit for
-  // bit and runs the symbolic analysis once for the whole sweep.
+  // bit, and plans the assembly and runs the symbolic analysis once for
+  // the whole sweep.
   auto base = make_array_bench();
   spice::DCAnalysis dc(base.circuit());
   const auto warm = dc.solve();
@@ -429,17 +470,62 @@ TEST(NewtonWorkspace, SharedAcrossSweepPointsMatchesFresh) {
     spice::NewtonWorkspace fresh;
     const auto r_fresh = spice::solve_newton(
         fresh_tb.circuit(), fresh_layout, x_fresh, 0.0, 0.0, /*dc=*/true,
-        spice::IntegrationMethod::kBackwardEuler, opts, &fresh);
+        spice::IntegrationMethod::kBackwardEuler, opts, fresh);
     const auto r_shared = spice::solve_newton(
         shared_tb.circuit(), shared_layout, x_shared, 0.0, 0.0, /*dc=*/true,
-        spice::IntegrationMethod::kBackwardEuler, opts, &shared);
+        spice::IntegrationMethod::kBackwardEuler, opts, shared);
     ASSERT_TRUE(r_fresh.converged) << "point " << point;
     EXPECT_EQ(r_fresh.iterations, r_shared.iterations) << "point " << point;
     EXPECT_EQ(x_fresh, x_shared) << "point " << point;
+    EXPECT_EQ(fresh.plan_count, 1u) << "point " << point;
     EXPECT_EQ(fresh.analyze_count, 1u) << "point " << point;
   }
+  EXPECT_EQ(shared.plan_count, 1u)
+      << "one topology, one stamp sequence: one plan for the whole sweep";
   EXPECT_EQ(shared.analyze_count, 1u)
       << "one topology, one pattern: one analysis for the whole sweep";
+}
+
+TEST(NewtonWorkspace, NewTopologyReplansAndMatchesFresh) {
+  // One workspace handed three topologies in turn (6x6 array, 4x8 array,
+  // NV cell) replans for each, and each solve is bit-identical to one on a
+  // fresh workspace.
+  sram::ArrayOptions wide;
+  wide.rows = 4;
+  wide.cols = 8;
+  wide.nonvolatile = true;
+  auto square_a = make_array_bench();
+  auto square_b = make_array_bench();
+  sram::ArrayTestbench wide_a(PaperParams::table1(), wide);
+  sram::ArrayTestbench wide_b(PaperParams::table1(), wide);
+  sram::CellTestbench cell_a(sram::CellKind::kNvSram, PaperParams::table1());
+  sram::CellTestbench cell_b(sram::CellKind::kNvSram, PaperParams::table1());
+  const std::pair<Circuit*, Circuit*> topologies[] = {
+      {&square_a.circuit(), &square_b.circuit()},
+      {&wide_a.circuit(), &wide_b.circuit()},
+      {&cell_a.circuit(), &cell_b.circuit()}};
+
+  const spice::NewtonOptions opts;
+  spice::NewtonWorkspace reused;
+  std::size_t plans = 0;
+  for (const auto& [fresh_circuit, reused_circuit] : topologies) {
+    const spice::MnaLayout fresh_layout = fresh_circuit->build_layout();
+    const spice::MnaLayout reused_layout = reused_circuit->build_layout();
+    SCOPED_TRACE(std::to_string(fresh_layout.unknown_count()) + " unknowns");
+    linalg::Vector x_fresh(fresh_layout.unknown_count(), 0.0);
+    linalg::Vector x_reused(reused_layout.unknown_count(), 0.0);
+    spice::NewtonWorkspace fresh;
+    const auto r_fresh = spice::solve_newton(
+        *fresh_circuit, fresh_layout, x_fresh, 0.0, 0.0, /*dc=*/true,
+        spice::IntegrationMethod::kBackwardEuler, opts, fresh);
+    const auto r_reused = spice::solve_newton(
+        *reused_circuit, reused_layout, x_reused, 0.0, 0.0, /*dc=*/true,
+        spice::IntegrationMethod::kBackwardEuler, opts, reused);
+    ASSERT_TRUE(r_fresh.converged);
+    EXPECT_EQ(r_fresh.iterations, r_reused.iterations);
+    EXPECT_EQ(x_fresh, x_reused);
+    EXPECT_EQ(reused.plan_count, ++plans) << "a new topology must replan";
+  }
 }
 
 TEST(NewtonWorkspace, StructuralVerdictSoundOnNumericFailure) {
