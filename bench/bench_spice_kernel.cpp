@@ -1,10 +1,12 @@
-// Simulator-kernel microbenchmarks (google-benchmark): dense/sparse LU,
-// Newton DC solves of the NV-SRAM cell, and transient throughput.  These
-// are not paper figures; they document the substrate's performance.
+// Simulator-kernel microbenchmarks (google-benchmark): dense, planned-cell
+// and sparse LU, Newton DC solves of the NV-SRAM cell, and transient
+// throughput.  These are not paper figures; they document the substrate's
+// performance.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "linalg/lu.h"
@@ -37,6 +39,72 @@ void BM_DenseLuFactorSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DenseLuFactorSolve)->Arg(16)->Arg(40)->Arg(120);
+
+// ---- cell-size LU: dense against the planned replay ----
+//
+// The NV cell's own Newton matrix and RHS (below linalg::kDenseCutoff),
+// taken from the workspace after a Table I DC operating point.
+// BM_CellLuDense times the cell path before PlannedLu: to_dense, the
+// partially pivoted dense factorize and the dense solve.  BM_CellLuReplay
+// times PlannedLu replaying the same pivots on the nonzeros, with the
+// same bits; a replan inside the loop is an error.
+struct CellNewtonSystem {
+  CellNewtonSystem() {
+    sram::CellTestbench tb(sram::CellKind::kNvSram,
+                           models::PaperParams::table1());
+    spice::DCAnalysis dc(tb.circuit());
+    ok = dc.solve().has_value();
+    matrix = dc.workspace().matrix;
+    rhs = dc.workspace().rhs;
+  }
+
+  std::string label() const {
+    return std::to_string(matrix.dimension()) + " unknowns, " +
+           std::to_string(matrix.nonzeros()) + " nonzeros";
+  }
+
+  linalg::CsrMatrix matrix;
+  linalg::Vector rhs;
+  bool ok = false;
+};
+
+void BM_CellLuDense(benchmark::State& state) {
+  const CellNewtonSystem sys;
+  if (!sys.ok) {
+    state.SkipWithError("DC solve failed");
+    return;
+  }
+  linalg::DenseMatrix dense;
+  linalg::LuFactorization lu;
+  for (auto _ : state) {
+    sys.matrix.to_dense_into(dense);
+    if (!lu.factorize(dense)) {
+      state.SkipWithError("factorize failed");
+      return;
+    }
+    benchmark::DoNotOptimize(lu.solve(sys.rhs));
+  }
+  state.SetLabel(sys.label());
+}
+BENCHMARK(BM_CellLuDense);
+
+void BM_CellLuReplay(benchmark::State& state) {
+  const CellNewtonSystem sys;
+  linalg::PlannedLu lu;
+  if (!sys.ok || !lu.factorize(sys.matrix)) {
+    state.SkipWithError("DC solve or planning failed");
+    return;
+  }
+  for (auto _ : state) {
+    if (!lu.factorize(sys.matrix) || lu.replanned()) {
+      state.SkipWithError("the replay failed or replanned");
+      return;
+    }
+    benchmark::DoNotOptimize(lu.solve(sys.rhs));
+  }
+  state.SetLabel(sys.label());
+}
+BENCHMARK(BM_CellLuReplay);
 
 void BM_SparseLuGrid(benchmark::State& state) {
   const std::size_t g = static_cast<std::size_t>(state.range(0));

@@ -1,8 +1,8 @@
 // Dense row-major matrix and vector helpers for the MNA solver.
 //
-// SRAM cell circuits are ~10-40 unknowns, so a cache-friendly dense matrix
-// with partially pivoted LU is the workhorse; the sparse path (sparse.h)
-// takes over for multi-hundred-node array netlists.
+// SRAM cell circuits are ~10-40 unknowns, and partially pivoted dense LU
+// defines their arithmetic; PlannedLu (lu.h) replays it on the nonzeros, and
+// the sparse path (sparse_lu.h) takes over for multi-hundred-node arrays.
 #pragma once
 
 #include <cstddef>

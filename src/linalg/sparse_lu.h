@@ -18,7 +18,8 @@
 //
 // Circuit matrices are small-bandwidth and diagonally heavy after gmin
 // loading, so both schemes are robust and fast enough for multi-thousand-node
-// arrays; the dense path remains the default below `kDenseCutoff` unknowns.
+// arrays.  At or below `kDenseCutoff` unknowns Newton uses PlannedLu (lu.h),
+// which keeps the dense LU's partial pivoting bit for bit.
 #pragma once
 
 #include <optional>

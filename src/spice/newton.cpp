@@ -134,9 +134,12 @@ NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
     const linalg::CsrMatrix& a = ws.matrix;
     std::optional<linalg::Vector> solved;
     if (n <= linalg::kDenseCutoff) {
-      linalg::LuFactorization& lu = ws.dense_lu;
-      a.to_dense_into(ws.dense);
-      if (lu.factorize(ws.dense)) {
+      // Cell path: the dense LU's pivots and rounding, replayed on the
+      // nonzeros; the dense LU itself runs only to (re)plan the pivots.
+      linalg::PlannedLu& lu = ws.planned_lu;
+      const bool ok = lu.factorize(a);
+      if (lu.replanned()) ws.pivot_plan_count++;
+      if (ok) {
         solved = lu.solve(rhs);
         diag.structure = StructuralVerdict::kSound;
       } else {

@@ -11,7 +11,6 @@
 // SolveDiagnostics instead of propagating garbage iterates.
 #pragma once
 
-#include "linalg/dense.h"
 #include "linalg/lu.h"
 #include "linalg/sparse.h"
 #include "linalg/sparse_lu.h"
@@ -39,15 +38,19 @@ struct NewtonOptions {
 
 // Everything a Newton solve writes besides its result: the stamp list and
 // RHS that each iteration clears and refills, the CSR assembly plan with
-// the matrix it fills, and the LU factorizations (dense at or below
-// linalg::kDenseCutoff unknowns, SparseLu above it).
+// the matrix it fills, and the LU factorizations (linalg::PlannedLu at or
+// below linalg::kDenseCutoff unknowns, SparseLu above it).
 //
 // Devices stamp the same (row, col) sequence on every iteration of a fixed
 // topology, so the assembler sorts the stamps into CSR once (a "plan") and
 // every later assembly is one accumulation pass over the stamps, which is
-// bit-identical to the sort.  Likewise SparseLu analyzes the pattern once
-// and later solves only refactor (KLU-style).  A changed stamp sequence
-// replans and a changed pattern re-analyzes, so results never depend on
+// bit-identical to the sort.  At cell size PlannedLu runs the partially
+// pivoted dense LU once and records its pivot sequence; later
+// factorizations replay that elimination on the nonzeros, bit for bit, and
+// only a pivot sequence that no longer verifies runs the dense LU again.
+// Above the cutoff SparseLu analyzes the pattern once and later solves only
+// refactor (KLU-style).  A changed stamp sequence replans and a changed
+// pattern re-plans the pivots or re-analyzes, so results never depend on
 // what the workspace held before.  One analysis keeps one workspace across
 // all its solves; the counters make that reuse observable in tests and
 // benches.
@@ -56,13 +59,13 @@ struct NewtonWorkspace {
   linalg::Vector rhs;
   linalg::CsrAssembler assembler;
   linalg::CsrMatrix matrix;
-  linalg::DenseMatrix dense;
-  linalg::LuFactorization dense_lu;
+  linalg::PlannedLu planned_lu;
   linalg::SparseLu sparse_lu;
-  std::size_t plan_count = 0;      // CSR assembly (re)plans: stamp sorts
-  std::size_t analyze_count = 0;   // symbolic analyses performed
-  std::size_t refactor_count = 0;  // numeric-only refactorizations
-  std::size_t fallback_count = 0;  // refactor pivot failures -> full factorize
+  std::size_t plan_count = 0;        // CSR assembly (re)plans: stamp sorts
+  std::size_t pivot_plan_count = 0;  // dense LU runs that (re)planned pivots
+  std::size_t analyze_count = 0;     // symbolic analyses performed
+  std::size_t refactor_count = 0;    // numeric-only refactorizations
+  std::size_t fallback_count = 0;    // refactor pivot failures -> full factorize
 };
 
 // Escalation ladder used when a plain solve fails: solve under heavy gmin

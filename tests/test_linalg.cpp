@@ -1,8 +1,11 @@
-// Linear algebra tests: dense LU, CSR assembly, sparse LU, cross-checks on
-// random systems.
+// Linear algebra tests: dense LU, the planned cell LU, CSR assembly, sparse
+// LU, cross-checks on random systems.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <random>
 
 #include "linalg/dense.h"
@@ -104,6 +107,225 @@ TEST(DenseLu, IterativeRefinementImproves) {
     r2[i] -= b[i];
   }
   EXPECT_LE(norm_inf(r2), norm_inf(r1) + 1e-18);
+}
+
+// ---- planned cell LU --------------------------------------------------------------
+
+// An MNA-like stamp list: conductances between node pairs and to ground,
+// drawn from a few repeated values; FET-like transconductances; and
+// voltage-source branches, whose +-1 incidence entries tie exactly in
+// magnitude.  Every stamp names an entry of a value table, so a draw keeps
+// the positions and rescales each table entry (the unit 1 never), and
+// equal values stay exactly equal.  The conductances are random, so no
+// sum of them lands near another entry and a small rescale keeps the
+// dense pivots.
+struct MnaStamps {
+  struct Stamp {
+    std::size_t row, col;
+    double sign;
+    std::size_t value;  // index into the value table
+  };
+  std::size_t n = 0;
+  std::vector<Stamp> stamps;
+  std::vector<double> table;  // the unit, five conductances, gmin
+};
+
+MnaStamps mna_stamps(std::size_t n, unsigned seed) {
+  std::mt19937 rng(seed);
+  MnaStamps m;
+  m.n = n;
+  const std::size_t branches = std::max<std::size_t>(1, n / 5);
+  const std::size_t nodes = n - branches;
+  std::uniform_int_distribution<std::size_t> node(0, nodes - 1);
+  std::uniform_int_distribution<std::size_t> conductance(1, 5);
+  std::uniform_real_distribution<double> decades(-5.0, -2.0);
+  m.table.push_back(1.0);
+  for (int v = 0; v < 5; ++v) m.table.push_back(std::pow(10.0, decades(rng)));
+  m.table.push_back(1e-12);
+  constexpr std::size_t kGround = std::numeric_limits<std::size_t>::max();
+  const auto add = [&](std::size_t r, std::size_t c, double sign,
+                       std::size_t value) {
+    if (r != kGround && c != kGround) m.stamps.push_back({r, c, sign, value});
+  };
+  const auto resistor = [&](std::size_t a, std::size_t b, std::size_t value) {
+    add(a, a, 1.0, value);
+    add(b, b, 1.0, value);
+    add(a, b, -1.0, value);
+    add(b, a, -1.0, value);
+  };
+  resistor(0, 1, 1);  // column 0 has an off-diagonal entry to flip to
+  for (std::size_t i = 0; i < nodes; ++i) {
+    const std::size_t other = node(rng);
+    resistor(i, other == i || rng() % 4 == 0 ? kGround : other, conductance(rng));
+  }
+  for (std::size_t t = 0; t < nodes / 3; ++t) {
+    const std::size_t d = node(rng), g = node(rng), s = node(rng);
+    add(d, g, 1.0, conductance(rng));
+    add(s, g, -1.0, conductance(rng));
+  }
+  // Each source drives its own node, against ground or a node no source
+  // drives, so the sources form no loop.
+  for (std::size_t b = 0; b < branches; ++b) {
+    const std::size_t k = nodes + b;
+    const std::size_t p = b;
+    const std::size_t q = rng() % 2 ? kGround : branches + node(rng) % (nodes - branches);
+    add(p, k, 1.0, 0);
+    add(k, p, 1.0, 0);
+    add(q, k, -1.0, 0);
+    add(k, q, -1.0, 0);
+  }
+  for (std::size_t i = 0; i < nodes; ++i) add(i, i, 1.0, 6);  // gmin
+  return m;
+}
+
+// One draw of `m`: every table entry but the unit rescaled by 1 + 1e-9 u.
+SparseBuilder draw_values(const MnaStamps& m, std::mt19937& rng) {
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  std::vector<double> table = m.table;
+  for (std::size_t v = 1; v < table.size(); ++v) table[v] *= 1.0 + 1e-9 * u(rng);
+  SparseBuilder b(m.n);
+  for (const auto& s : m.stamps) b.add(s.row, s.col, s.sign * table[s.value]);
+  return b;
+}
+
+bool same_bits(const Vector& a, const Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(PlannedLu, ReplaysTheDenseLuBitForBit) {
+  // One PlannedLu across four patterns.  Per pattern: draws that keep the
+  // pivots, one where another row overtakes the step-0 pivot, one with a
+  // zeroed column, one with a NaN and one with an Inf stamp, and one whose
+  // solution overflows.  Every draw is checked against a fresh dense LU.
+  PlannedLu lu;
+  std::mt19937 rng(2024);
+  std::uniform_real_distribution<double> val(-1.0, 1.0);
+  for (std::size_t n : {5u, 23u, 60u, 160u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const MnaStamps m = mna_stamps(n, static_cast<unsigned>(n));
+    std::vector<std::size_t> planned_perm;  // the dense pivots last planned
+    std::size_t replays = 0;
+    enum Kind { kKeep, kFlip, kZeroColumn, kNan, kInf, kHugeRhs };
+    const Kind draws[] = {kKeep, kKeep, kKeep, kKeep, kKeep,       kKeep,
+                          kFlip, kKeep, kKeep, kZeroColumn, kKeep, kNan,
+                          kInf,  kKeep, kHugeRhs};
+    for (std::size_t d = 0; d < std::size(draws); ++d) {
+      SCOPED_TRACE("draw " + std::to_string(d));
+      SparseBuilder b = draw_values(m, rng);
+      if (draws[d] == kFlip) {
+        // Row 1 (row 0 if row 1 holds it) overtakes the step-0 pivot; both
+        // rows are structural in column 0.
+        b.add(planned_perm.at(0) == 1 ? 0 : 1, 0, 1e3);
+      }
+      if (draws[d] == kZeroColumn || draws[d] == kNan || draws[d] == kInf) {
+        SparseBuilder changed(n);
+        const std::size_t col = 1 + rng() % (n - 1);
+        const std::size_t hit = rng() % b.triplets().size();
+        for (std::size_t t = 0; t < b.triplets().size(); ++t) {
+          Triplet s = b.triplets()[t];
+          if (draws[d] == kZeroColumn && s.col == col) s.value = 0.0;
+          if (draws[d] == kNan && t == hit) s.value = std::nan("");
+          if (draws[d] == kInf && t == hit) s.value = HUGE_VAL;
+          changed.add(s.row, s.col, s.value);
+        }
+        b = changed;
+      }
+      const CsrMatrix a(b);
+      Vector rhs(n);
+      for (auto& v : rhs) v = val(rng);
+      if (d % 4 == 1) rhs[d % n] = -0.0;
+      if (draws[d] == kHugeRhs) {
+        for (auto& v : rhs) v *= 1e306;  // the solution overflows
+      }
+
+      LuFactorization ref;
+      const bool ref_ok = ref.factorize(a.to_dense());
+      const bool ok = lu.factorize(a);
+      ASSERT_EQ(ok, ref_ok);
+      if (draws[d] == kKeep) {
+        ASSERT_TRUE(ok);
+      }
+      if (!ok) {
+        EXPECT_EQ(lu.failed_pivot(), ref.failed_pivot());
+        EXPECT_EQ(lu.non_finite(), ref.non_finite());
+        continue;
+      }
+      EXPECT_TRUE(same_bits(lu.solve(rhs), ref.solve(rhs)));
+      // A replay verifies exactly the dense pivots: it replans iff they
+      // differ from the planned ones.
+      EXPECT_EQ(lu.replanned(), ref.permutation() != planned_perm);
+      if (d == 0 || draws[d] == kFlip) {
+        EXPECT_TRUE(lu.replanned()) << "a new pattern or a flipped pivot replans";
+      }
+      if (lu.replanned()) {
+        planned_perm = ref.permutation();
+      } else {
+        ++replays;
+      }
+    }
+    EXPECT_GE(replays, 9u) << "kept pivot sequences must replay";
+  }
+}
+
+TEST(PlannedLu, TiedPivotsResolveInTheDenseScanOrder) {
+  // In this row order the dense loop takes row 2 at step 0 and swaps it to
+  // the top, so step 1 scans rows 1, 0, 3, and rows 1 and 0 tie at 3 in
+  // column 1: row 1 wins, though row 0 comes first by index.  Under every
+  // ordering of the rows a replay of the same values must verify the dense
+  // pivots (no replan) and reproduce the dense LU's bits.
+  const double rows[4][4] = {{1, -3, 1, 0}, {0, 3, 0, 1}, {2, 0, 1, 1}, {0, 1, 1, 2}};
+  std::vector<std::size_t> order{0, 1, 2, 3};
+  do {
+    SparseBuilder b(4);
+    for (std::size_t r = 0; r < 4; ++r) {
+      for (std::size_t c = 0; c < 4; ++c) {
+        if (rows[order[r]][c] != 0.0) b.add(r, c, rows[order[r]][c]);
+      }
+    }
+    const CsrMatrix a(b);
+    LuFactorization ref;
+    ASSERT_TRUE(ref.factorize(a.to_dense()));
+    PlannedLu lu;
+    ASSERT_TRUE(lu.factorize(a));
+    ASSERT_TRUE(lu.replanned());
+    ASSERT_TRUE(lu.factorize(a));
+    EXPECT_FALSE(lu.replanned()) << "the replay must verify the dense pivots";
+    const Vector rhs{0.5, -1.5, 2.5, 1.0};
+    EXPECT_TRUE(same_bits(lu.solve(rhs), ref.solve(rhs)));
+  } while (std::next_permutation(order.begin(), order.end()));
+}
+
+TEST(PlannedLu, SkippedZerosStayInvisibleAtTheEdges) {
+  // Where a skipped zero could change a bit, the replay must still give
+  // the dense LU's.  (a) A -0 on the right: the dense forward pass turns
+  // -0 - (+0 * -1) into +0.  (b) An Inf in U above an explicit zero factor:
+  // the dense loop skips that row, where 0 * Inf would put a NaN in U.
+  struct Case {
+    const char* name;
+    std::vector<Triplet> entries;
+    Vector rhs;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const Case cases[] = {
+      {"negative zero rhs", {{0, 0, 2.0}, {1, 1, 3.0}}, {-1.0, -0.0}},
+      {"inf above a zero factor",
+       {{0, 0, 1.0}, {0, 2, inf}, {1, 0, 0.0}, {1, 1, 1.0}, {1, 2, 1.0}, {2, 2, 1.0}},
+       {1.0, 1.0, 1.0}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SparseBuilder b(c.rhs.size());
+    for (const Triplet& t : c.entries) b.add(t.row, t.col, t.value);
+    const CsrMatrix a(b);
+    LuFactorization ref;
+    ASSERT_TRUE(ref.factorize(a.to_dense()));
+    PlannedLu lu;
+    ASSERT_TRUE(lu.factorize(a));
+    ASSERT_TRUE(lu.factorize(a));
+    ASSERT_FALSE(lu.replanned()) << "the second factorization replays";
+    EXPECT_TRUE(same_bits(lu.solve(c.rhs), ref.solve(c.rhs)));
+  }
 }
 
 // ---- CSR assembly -------------------------------------------------------------

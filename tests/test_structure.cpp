@@ -423,8 +423,11 @@ TEST(NewtonWorkspace, WarmResolveReusesTheSymbolicAnalysis) {
 TEST(NewtonWorkspace, ColdAndWarmSolvesPlanOnce) {
   // Every iteration of every solve on one circuit stamps the same position
   // sequence, so a cold solve (with whatever recovery it needs) plus a warm
-  // re-solve sort the stamps exactly once: on the NV cell (dense LU) and
-  // on the 6x6 array (sparse LU).
+  // re-solve sort the stamps exactly once: on the NV cell (planned cell LU)
+  // and on the 6x6 array (sparse LU).  On the cell, the warm re-solves keep
+  // the pivots the cold solve planned: a tie-order bug that replanned on
+  // every iteration would pass every result test and show only as a
+  // slower benchmark.
   sram::CellTestbench cell(sram::CellKind::kNvSram, PaperParams::table1());
   auto array = make_array_bench();
   struct Case {
@@ -440,9 +443,15 @@ TEST(NewtonWorkspace, ColdAndWarmSolvesPlanOnce) {
     spice::DCAnalysis dc(c.circuit);
     const auto cold = dc.solve();
     ASSERT_TRUE(cold.has_value());
+    const std::size_t pivot_plans = dc.workspace().pivot_plan_count;
+    EXPECT_EQ(pivot_plans > 0, !c.sparse) << "the dense LU runs to plan pivots";
     const linalg::Vector guess = cold->raw();
-    ASSERT_TRUE(dc.solve(&guess).has_value());
+    for (int warm = 0; warm < 6; ++warm) {
+      ASSERT_TRUE(dc.solve(&guess).has_value());
+    }
     EXPECT_EQ(dc.workspace().plan_count, 1u);
+    EXPECT_EQ(dc.workspace().pivot_plan_count, pivot_plans)
+        << "warm re-solves must replay the planned pivots";
   }
 }
 
