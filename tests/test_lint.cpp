@@ -3,6 +3,8 @@
 // arrays, and the run_* fail-fast gating.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -19,6 +21,7 @@
 #include "spice/elements.h"
 #include "spice/netlist_parser.h"
 #include "support/array_gen.h"
+#include "support/power_deck.h"
 
 namespace nvsram {
 namespace {
@@ -602,6 +605,107 @@ TEST(SubcktUnusedPort, AttributionAndCaseFolding) {
   EXPECT_EQ(unused[0]->message.find("'BL'"), std::string::npos)
       << unused[0]->message;
   EXPECT_EQ(unused[0]->line, 2) << "attributed to the .subckt card line";
+}
+
+// ---- golden: formatted reports of the lint corpus ---------------------------
+// Pins LintReport::format() byte for byte, as nvlint prints it, on every
+// seeded-violation fixture, every shipped netlist, the 4x4 generated array
+// for each defect kind, and the 8x8 array with power-intent findings on
+// several rows (tests/support/power_deck.h).  Regenerate after an
+// intentional diagnostic change with NVSRAM_UPDATE_GOLDENS=1 ./test_lint.
+
+std::vector<std::filesystem::path> cir_files(const std::string& dir) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".cir") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+std::string read_text(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "cannot open " << path;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+std::string corpus_reports() {
+  std::ostringstream out;
+  auto add = [&out](const std::string& label, const std::string& deck) {
+    out << "== " << label << "\n";
+    const std::string report = parse(deck)->lint().format();
+    if (!report.empty()) out << report << "\n";
+  };
+  for (const auto& f : cir_files(NVSRAM_BAD_NETLIST_DIR)) {
+    add("tests/netlists_bad/" + f.filename().string(), read_text(f));
+  }
+  for (const auto& f : cir_files(NVSRAM_NETLIST_DIR)) {
+    add("netlists/" + f.filename().string(), read_text(f));
+  }
+  const std::pair<const char*, ArrayDefect> defects[] = {
+      {"clean", ArrayDefect::kNone},
+      {"float-node", ArrayDefect::kFloatNode},
+      {"unused-port", ArrayDefect::kUnusedPort},
+      {"bad-value", ArrayDefect::kBadValue},
+  };
+  for (const auto& [name, defect] : defects) {
+    add(std::string("array 4x4 ") + name,
+        make_nvsram_array_netlist(4, 4, defect));
+  }
+  add("array 8x8 late word-line pulses + header bypass",
+      testsupport::make_power_violation_array_netlist());
+  return out.str();
+}
+
+TEST(LintGolden, ReportsMatchCheckedInFile) {
+  const std::string actual = corpus_reports();
+  const std::string path =
+      std::string(NVSRAM_GOLDEN_DIR) + "/lint_reports.txt";
+  if (std::getenv("NVSRAM_UPDATE_GOLDENS") != nullptr) {
+    std::ofstream out(path);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << actual;
+    return;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good())
+      << "missing golden " << path
+      << " — run NVSRAM_UPDATE_GOLDENS=1 ./test_lint once and commit it";
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  const std::string golden = ss.str();
+  if (golden == actual) return;
+  // Name the first differing line rather than dumping both reports.
+  std::istringstream g(golden), a(actual);
+  std::string gl, al;
+  for (int line = 1;; ++line) {
+    const bool gok = static_cast<bool>(std::getline(g, gl));
+    const bool aok = static_cast<bool>(std::getline(a, al));
+    if (gok != aok || gl != al) {
+      ADD_FAILURE() << path << " line " << line << " differs\n  golden: "
+                    << (gok ? gl : "<end>") << "\n  actual: "
+                    << (aok ? al : "<end>");
+      return;
+    }
+    if (!gok) break;
+  }
+  ADD_FAILURE() << path << " differs from the reports (trailing newline)";
+}
+
+// The 8x8 deck is the only corpus entry that fires the power-intent rules on
+// a multi-row array; keep it doing so.
+TEST(LintGolden, PowerDeckFiresAcrossRows) {
+  const Verdict got =
+      lint_verdict(testsupport::make_power_violation_array_netlist());
+  auto errors = [&got](const char* rule) {
+    const auto it = got.find({rule, Severity::kError});
+    return it == got.end() ? 0 : it->second;
+  };
+  EXPECT_EQ(errors(lint::rules::kPowerWlInOffWindow), 2) << describe(got);
+  EXPECT_EQ(errors(lint::rules::kPowerSneakPath), 18) << describe(got);
+  EXPECT_EQ(errors(lint::rules::kDataReadBeforeRestore), 1) << describe(got);
 }
 
 // ---- lint-result cache ------------------------------------------------------
