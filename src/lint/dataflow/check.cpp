@@ -25,15 +25,17 @@ class DataflowChecker {
  public:
   DataflowChecker(const Timeline& tl, const DataflowOptions& opt,
                   const spice::Circuit* circuit,
-                  const spice::ParsedNetlist* netlist)
-      : tl_(tl), opt_(opt), circuit_(circuit), netlist_(netlist) {}
+                  const spice::ParsedNetlist* netlist,
+                  const power::DomainMap* domains)
+      : tl_(tl), opt_(opt), circuit_(circuit), netlist_(netlist),
+        domains_(domains) {}
 
   std::vector<Diagnostic> run() {
     // Nothing scheduled, or nothing nonvolatile to lose: the data-* family
     // states retention properties of MTJ-backed cells only.
     if (tl_.t_stop <= 0.0 || !tl_.has_mtj) return std::move(out_);
 
-    off_ = collect_off_windows(tl_, circuit_, netlist_, opt_.vdd);
+    off_ = collect_off_windows(tl_, circuit_, netlist_, opt_.vdd, domains_);
     const std::vector<Event> events =
         extract_events(tl_, off_, opt_.clock_period);
 
@@ -194,6 +196,7 @@ class DataflowChecker {
   const DataflowOptions& opt_;
   const spice::Circuit* circuit_;
   const spice::ParsedNetlist* netlist_;
+  const power::DomainMap* domains_;
   std::vector<Window> off_;
   std::vector<Diagnostic> out_;
   int generation_ = 0;
@@ -226,8 +229,9 @@ double DataflowOptions::required_store_pulse(const models::MTJParams& mtj,
 std::vector<Diagnostic> check_dataflow(const temporal::Timeline& timeline,
                                        const DataflowOptions& options,
                                        const spice::Circuit* circuit,
-                                       const spice::ParsedNetlist* netlist) {
-  return DataflowChecker(timeline, options, circuit, netlist).run();
+                                       const spice::ParsedNetlist* netlist,
+                                       const power::DomainMap* domains) {
+  return DataflowChecker(timeline, options, circuit, netlist, domains).run();
 }
 
 }  // namespace nvsram::lint::dataflow

@@ -36,6 +36,10 @@ class Circuit;
 class ParsedNetlist;
 }  // namespace nvsram::spice
 
+namespace nvsram::lint::power {
+struct DomainMap;
+}  // namespace nvsram::lint::power
+
 namespace nvsram::lint::dataflow {
 
 struct DataflowOptions {
@@ -64,14 +68,16 @@ struct DataflowOptions {
 
 // Runs the dataflow pass.  `circuit` (nullable) enables power-intent off
 // windows via lint/power/state; `netlist` (nullable) supplies .role/.domain
-// annotations for the extraction.  Diagnostics carry the driving signal
-// (device), its netlist line when known, and the covering phase — real
-// testbench phases, or synthesized ones ("power-off", "store", "restore",
-// "active") for netlist timelines.
-std::vector<Diagnostic> check_dataflow(const temporal::Timeline& timeline,
-                                       const DataflowOptions& options,
-                                       const spice::Circuit* circuit = nullptr,
-                                       const spice::ParsedNetlist* netlist =
-                                           nullptr);
+// annotations for the extraction.  `domains`, when given with a circuit,
+// must be power::extract_domains(*circuit, netlist); the linter shares the
+// map the power pass uses instead of extracting it twice.  Diagnostics
+// carry the driving signal (device), its netlist line when known, and the
+// covering phase — real testbench phases, or synthesized ones
+// ("power-off", "store", "restore", "active") for netlist timelines.
+std::vector<Diagnostic> check_dataflow(
+    const temporal::Timeline& timeline, const DataflowOptions& options,
+    const spice::Circuit* circuit = nullptr,
+    const spice::ParsedNetlist* netlist = nullptr,
+    const power::DomainMap* domains = nullptr);
 
 }  // namespace nvsram::lint::dataflow

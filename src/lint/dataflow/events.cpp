@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "lint/power/domain.h"
 #include "lint/power/state.h"
@@ -60,7 +61,8 @@ int order_rank(Event::Kind k) {
 std::vector<Window> collect_off_windows(const Timeline& timeline,
                                         const spice::Circuit* circuit,
                                         const spice::ParsedNetlist* netlist,
-                                        double vdd) {
+                                        double vdd,
+                                        const power::DomainMap* domains) {
   std::vector<Window> off;
 
   // Timeline-level evidence, exactly as the protocol checker reads it: the
@@ -88,11 +90,14 @@ std::vector<Window> collect_off_windows(const Timeline& timeline,
   // heuristics above is the fixpoint input of the dataflow pass.
   std::vector<Window> domain_off;
   if (circuit != nullptr) {
-    const power::DomainMap map = power::extract_domains(*circuit, netlist);
+    std::optional<power::DomainMap> extracted;
+    if (domains == nullptr) {
+      domains = &extracted.emplace(power::extract_domains(*circuit, netlist));
+    }
     power::StateOptions sopt;
     sopt.vdd = vdd;
     const power::PowerState state =
-        power::compute_power_state(map, timeline, sopt);
+        power::compute_power_state(*domains, timeline, sopt);
     for (const power::DomainSchedule& sched : state.schedules) {
       domain_off = power::windows_union(domain_off, sched.off);
     }
