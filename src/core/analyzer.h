@@ -13,9 +13,9 @@ namespace nvsram::core {
 class PowerGatingAnalyzer {
  public:
   // Characterizes both cells with SPICE at construction (a few transients
-  // and DC solves; seconds of wall time — amortized through the process-wide
-  // cache in sram/characterize_cache.h, so repeated analyzers at the same
-  // parameter point are cheap).  `max_wall_seconds` bounds the
+  // and DC solves; about 0.1 s cold in a Release build — amortized through
+  // the process-wide cache in sram/characterize_cache.h, so repeated
+  // analyzers at the same parameter point are cheap).  `max_wall_seconds` bounds the
   // whole characterization phase (both cells share one wall-clock budget);
   // expiry throws util::WatchdogError.  0 = unlimited.  Sweep points that
   // build analyzers should pass their PointContext::timeout_sec here so the

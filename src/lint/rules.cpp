@@ -1,7 +1,5 @@
 #include "lint/rules.h"
 
-#include <algorithm>
-
 namespace nvsram::lint {
 
 const std::vector<RuleInfo>& rule_catalog() {
@@ -398,29 +396,6 @@ Severity default_severity(const std::string& rule_id) {
 const char* rule_family(const std::string& rule_id) {
   const RuleInfo* r = find_rule(rule_id);
   return r == nullptr ? "" : r->family;
-}
-
-std::uint64_t LintOptions::fingerprint() const {
-  // 64-bit FNV-1a; the disabled set hashes in sorted order so insertion
-  // order cannot change the key.
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ull;
-    }
-  };
-  std::vector<std::string> ids(disabled.begin(), disabled.end());
-  std::sort(ids.begin(), ids.end());
-  for (const auto& id : ids) {
-    mix(id.data(), id.size());
-    const char sep = '\0';
-    mix(&sep, 1);
-  }
-  const int sev = static_cast<int>(min_severity);
-  mix(&sev, sizeof(sev));
-  return h;
 }
 
 }  // namespace nvsram::lint

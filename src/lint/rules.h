@@ -10,7 +10,6 @@
 // rule through LintOptions::disable().
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -118,11 +117,6 @@ struct LintOptions {
   bool enabled(const std::string& rule_id) const {
     return disabled.find(rule_id) == disabled.end();
   }
-
-  // Stable hash over everything that changes a lint verdict (disabled set,
-  // severity floor).  Keys the lint-result cache together with the netlist
-  // content hash (see lint/lint_cache.h).
-  std::uint64_t fingerprint() const;
 };
 
 }  // namespace nvsram::lint

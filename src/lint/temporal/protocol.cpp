@@ -419,16 +419,6 @@ class ProtocolChecker {
   std::vector<Diagnostic> out_;
 };
 
-// 64-bit FNV-1a over raw bytes; doubles hash via their bit pattern.
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 }  // namespace
 
 TemporalOptions TemporalOptions::from_paper(const models::PaperParams& pp) {
@@ -443,17 +433,6 @@ TemporalOptions TemporalOptions::from_paper(const models::PaperParams& pp) {
     opt.mtj_write_pulse = pp.store_pulse;
   }
   return opt;
-}
-
-std::uint64_t TemporalOptions::fingerprint() const {
-  std::uint64_t h = 1469598103934665603ull;
-  const int arch_tag = static_cast<int>(arch);
-  h = fnv1a(h, &arch_tag, sizeof(arch_tag));
-  for (double v : {vdd, mtj_write_pulse, store_pulse, clock_period,
-                   retention_floor, min_shutdown}) {
-    h = fnv1a(h, &v, sizeof(v));
-  }
-  return h;
 }
 
 std::optional<TemporalOptions::Arch> arch_from_string(const std::string& s) {

@@ -19,7 +19,6 @@
 // testbench phase attribution — before any transient solve runs.
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -55,10 +54,6 @@ struct TemporalOptions {
   double min_shutdown = 2e-9;
 
   static TemporalOptions from_paper(const models::PaperParams& pp);
-
-  // Stable hash over every threshold (characterization-cache invalidation:
-  // cached energies are only valid for the lint config that admitted them).
-  std::uint64_t fingerprint() const;
 };
 
 // Runs every protocol-* check that applies to this timeline.  Diagnostics

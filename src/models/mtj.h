@@ -50,8 +50,9 @@ struct MTJParams {
   double rap0() const;            // antiparallel resistance at zero bias
   double critical_current() const;  // Ic = jc * area
 
-
   std::string describe() const;
+
+  bool operator==(const MTJParams&) const = default;
 };
 
 class MTJ {

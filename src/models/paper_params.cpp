@@ -37,33 +37,6 @@ PaperParams PaperParams::table1_fast() {
   return p;
 }
 
-std::uint64_t PaperParams::fingerprint() const {
-  // FNV-1a over the field values (field-by-field, never struct bytes: padding
-  // would make the hash nondeterministic).
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ull;
-    }
-  };
-  for (double v :
-       {channel_length, fin_width, fin_height, temperature, vdd, vsr,
-        vctrl_store, vctrl_normal, vctrl_sleep, vvdd_sleep,
-        vvdd_retention_floor, vpg_supercutoff, power_switch_vth, clock_hz,
-        store_pulse, store_current_factor, mtj.tmr0, mtj.ra_product, mtj.vh,
-        mtj.jc, mtj.diameter, mtj.tau0, mtj.thermal_stability,
-        mtj.attempt_time, mtj.error_tail_factor}) {
-    mix(&v, sizeof(v));
-  }
-  for (int v : {fins_load, fins_driver, fins_access, fins_ps,
-                fins_power_switch}) {
-    mix(&v, sizeof(v));
-  }
-  return h;
-}
-
 std::string PaperParams::describe() const {
   std::ostringstream os;
   os << "Table I parameters\n"

@@ -4,7 +4,6 @@
 // mirroring how the paper couples Table I to the evaluation.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "models/finfet.h"
@@ -61,9 +60,9 @@ struct PaperParams {
   // Renders the Table I block as printable text.
   std::string describe() const;
 
-  // Stable 64-bit hash over every field (including the MTJ bundle); keys the
-  // process-wide characterization cache.
-  std::uint64_t fingerprint() const;
+  // Field by field, including the MTJ bundle; keys the process-wide
+  // characterization cache (sram/characterize_cache.h).
+  bool operator==(const PaperParams&) const = default;
 };
 
 }  // namespace nvsram::models

@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "lint/lint_cache.h"
 #include "lint/linter.h"
 #include "lint/temporal/protocol.h"
 #include "lint/temporal/role.h"
@@ -642,18 +641,7 @@ lint::LintReport ParsedNetlist::lint(const lint::LintOptions& options) const {
 
 void ParsedNetlist::ensure_lint_ok() {
   if (!lint_on_run_) return;
-  // Pristine parsed netlists (content hash != 0) share lint verdicts across
-  // repeated run_* calls and across sweeps re-parsing identical text; any
-  // post-parse mutation dropped the hash and falls through to a fresh lint.
-  const std::uint64_t fp = lint_options_.fingerprint();
-  if (content_hash_ != 0) {
-    if (auto cached = lint::lint_cache_lookup(content_hash_, fp)) {
-      if (cached->has_errors()) throw lint::LintError(std::move(*cached));
-      return;
-    }
-  }
   lint::LintReport report = lint(lint_options_);
-  if (content_hash_ != 0) lint::lint_cache_store(content_hash_, fp, report);
   if (report.has_errors()) throw lint::LintError(std::move(report));
 }
 
@@ -693,7 +681,6 @@ std::string ParsedNetlist::instance_path_of(const std::string& name) const {
 
 void ParsedNetlist::set_role_annotation(const std::string& device,
                                         std::string role) {
-  content_hash_ = 0;
   role_annotations_[lower(device)] = std::move(role);
 }
 
@@ -704,7 +691,6 @@ const std::string* ParsedNetlist::role_annotation(
 }
 
 void ParsedNetlist::add_parse_diagnostic(lint::Diagnostic d) {
-  content_hash_ = 0;
   parse_diags_.push_back(std::move(d));
 }
 
@@ -778,21 +764,8 @@ std::unique_ptr<ParsedNetlist> NetlistParser::parse_stream(std::istream& in) {
   std::string line;
   int line_no = 0;
   bool first = true;
-  // FNV-1a over the raw text (line-by-line, '\n'-delimited): the lint-cache
-  // key for this parse.  Builder calls during parsing reset the netlist's
-  // hash, so it is stamped once at the end.
-  std::uint64_t hash = 1469598103934665603ull;
-  auto hash_line = [&hash](const std::string& l) {
-    for (unsigned char c : l) {
-      hash ^= c;
-      hash *= 1099511628211ull;
-    }
-    hash ^= static_cast<unsigned char>('\n');
-    hash *= 1099511628211ull;
-  };
   while (std::getline(in, line)) {
     ++line_no;
-    hash_line(line);
     if (first) {
       first = false;
       // SPICE title-line convention: if the first line does not parse as a
@@ -809,9 +782,6 @@ std::unique_ptr<ParsedNetlist> NetlistParser::parse_stream(std::istream& in) {
   if (!impl.saw_any_card()) {
     throw NetlistError(line_no, "netlist contains no devices");
   }
-  // 0 means "not cacheable", so a text that happens to hash to 0 is simply
-  // nudged rather than silently treated as mutated.
-  out->set_content_hash(hash == 0 ? 1 : hash);
   return out;
 }
 

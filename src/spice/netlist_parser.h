@@ -30,7 +30,6 @@
 // the requested analyses (`run_*`), returning Waveforms.
 #pragma once
 
-#include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <optional>
@@ -80,13 +79,7 @@ struct AcCard {
 
 class ParsedNetlist {
  public:
-  // The non-const accessor hands out mutable device state, so the cached
-  // lint verdict for the parsed text no longer applies: drop the content
-  // hash (see lint/lint_cache.h) and re-lint from scratch on the next run_*.
-  Circuit& circuit() {
-    content_hash_ = 0;
-    return circuit_;
-  }
+  Circuit& circuit() { return circuit_; }
   const Circuit& circuit() const { return circuit_; }
 
   const std::string& title() const { return title_; }
@@ -110,10 +103,10 @@ class ParsedNetlist {
   lint::LintReport lint() const;
   lint::LintReport lint(const lint::LintOptions& options) const;
 
-  // run_* lint by default and throw lint::LintError on error-severity
-  // diagnostics — before any Newton iteration runs.  Tests that build
-  // intentionally degenerate circuits can opt out here, or disable
-  // individual rules through lint_options().
+  // run_* lint the netlist as it stands on every call and throw
+  // lint::LintError on error-severity diagnostics — before any Newton
+  // iteration runs.  Tests that build intentionally degenerate circuits can
+  // opt out here, or disable individual rules through lint_options().
   void set_lint_on_run(bool enabled) { lint_on_run_ = enabled; }
   bool lint_on_run() const { return lint_on_run_; }
   lint::LintOptions& lint_options() { return lint_options_; }
@@ -128,8 +121,7 @@ class ParsedNetlist {
   // ---- hierarchy bookkeeping (filled by the parser) ----
   // The parser flattens .subckt instances into the Circuit and records each
   // instance's flattened device prefix (e.g. "X3" or "X3.X17"), so findings
-  // inside an instance can name it.  Like the line maps this records a
-  // parse fact, so it does not drop the content hash.
+  // inside an instance can name it.
   void record_instance(const std::string& prefix) {
     instance_prefixes_.insert(prefix + ".");
   }
@@ -152,7 +144,6 @@ class ParsedNetlist {
   // intent for a rail node; the power-* lint family checks the extracted
   // domain map against these declarations.
   void add_domain_annotation(lint::power::DomainAnnotation ann) {
-    content_hash_ = 0;
     domain_annotations_.push_back(std::move(ann));
   }
   const std::vector<lint::power::DomainAnnotation>& domain_annotations() const {
@@ -164,20 +155,11 @@ class ParsedNetlist {
   // implements; the temporal lint pass then checks the matching protocol
   // instead of inferring it from signal roles.  Stored lowercase.
   void set_arch_annotation(std::string arch) {
-    content_hash_ = 0;
     arch_annotation_ = std::move(arch);
   }
   const std::optional<std::string>& arch_annotation() const {
     return arch_annotation_;
   }
-
-  // ---- lint-result cache key ----
-  // FNV-1a over the raw netlist text, set once by the parser; 0 = not
-  // cacheable.  Every mutation path (non-const circuit(), the builder
-  // methods below) resets it to 0 so a post-edited netlist is never served
-  // the stale cached report of its original text.
-  std::uint64_t content_hash() const { return content_hash_; }
-  void set_content_hash(std::uint64_t h) { content_hash_ = h; }
 
   // Diagnostics the parser itself produced (e.g. unused .subckt ports);
   // merged into every lint() report.
@@ -187,39 +169,18 @@ class ParsedNetlist {
   }
 
   // Builder methods (used by the parser; also handy for programmatic
-  // post-editing of a parsed netlist).  Each drops the content hash: the
-  // parser stamps it after the last builder call, so only post-parse edits
-  // actually lose cacheability.
-  void set_title(std::string t) {
-    content_hash_ = 0;
-    title_ = std::move(t);
-  }
-  void set_dc_card(DcSweepCard c) {
-    content_hash_ = 0;
-    dc_ = c;
-  }
-  void set_tran_card(TranCard c) {
-    content_hash_ = 0;
-    tran_ = c;
-  }
-  void set_ac_card(AcCard c) {
-    content_hash_ = 0;
-    ac_ = std::move(c);
-  }
-  void add_probe(Probe p) {
-    content_hash_ = 0;
-    probes_.push_back(std::move(p));
-  }
-
-  // The lint gate every run_* passes through: throws lint::LintError when
-  // lint_on_run() is set and linting reports errors.  Consults the
-  // process-wide lint-result cache (lint/lint_cache.h) keyed on
-  // content_hash() and the options fingerprint; a netlist mutated since
-  // parse (hash 0) always re-lints.  Public so callers can pay the gate
-  // once up front (and tests can exercise the cache directly).
-  void ensure_lint_ok();
+  // post-editing of a parsed netlist).
+  void set_title(std::string t) { title_ = std::move(t); }
+  void set_dc_card(DcSweepCard c) { dc_ = c; }
+  void set_tran_card(TranCard c) { tran_ = c; }
+  void set_ac_card(AcCard c) { ac_ = std::move(c); }
+  void add_probe(Probe p) { probes_.push_back(std::move(p)); }
 
  private:
+  // The lint gate every run_* passes through: throws lint::LintError when
+  // lint_on_run() is set and linting the netlist reports errors.
+  void ensure_lint_ok();
+
   Circuit circuit_;
   std::string title_;
   std::vector<Probe> probes_;
@@ -235,7 +196,6 @@ class ParsedNetlist {
   std::vector<lint::Diagnostic> parse_diags_;
   lint::LintOptions lint_options_;
   bool lint_on_run_ = true;
-  std::uint64_t content_hash_ = 0;
 };
 
 class NetlistParser {

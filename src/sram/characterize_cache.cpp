@@ -1,35 +1,26 @@
 #include "sram/characterize_cache.h"
 
-#include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
-
-#include "lint/temporal/protocol.h"
+#include <vector>
 
 namespace nvsram::sram {
 
 namespace {
 
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  // FNV-1a over the 8 bytes of v, continuing the running hash.
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::uint64_t cache_key(const models::PaperParams& pp, CellKind kind,
-                        int relax_attempt) {
-  std::uint64_t h = pp.fingerprint();
-  h = mix(h, static_cast<std::uint64_t>(kind));
-  h = mix(h, static_cast<std::uint64_t>(relax_attempt));
-  h = mix(h, lint::temporal::TemporalOptions::from_paper(pp).fingerprint());
-  return h;
-}
+// Everything characterize() computes from.  The lint gate's TemporalOptions
+// are not part of it: they come from TemporalOptions::from_paper(pp), a pure
+// function of pp, so equal params always mean equal temporal options.
+struct Key {
+  models::PaperParams pp;
+  CellKind kind;
+  int relax_attempt;
+  bool operator==(const Key&) const = default;
+};
 
 struct Entry {
+  explicit Entry(const Key& k) : key(k) {}
+  const Key key;
   std::mutex compute;
   bool ready = false;
   CellEnergetics value;
@@ -37,9 +28,12 @@ struct Entry {
 
 struct Cache {
   std::mutex m;
-  // unique_ptr keeps each Entry's address stable across rehashes, so the
-  // per-entry mutex can be held without the map lock.
-  std::unordered_map<std::uint64_t, std::unique_ptr<Entry>> map;
+  // unique_ptr keeps each Entry's address stable as the vector grows, so the
+  // per-entry mutex can be held without the cache lock.  Lookups scan: every
+  // entry was added by a characterization (about 0.1 s), so a scan at
+  // nanoseconds per entry stays a negligible share of the work that filled
+  // the cache.
+  std::vector<std::unique_ptr<Entry>> entries;
   std::size_t hits = 0;
   std::size_t misses = 0;
 };
@@ -49,20 +43,30 @@ Cache& cache() {
   return c;
 }
 
+// The entry for `key`, or nullptr; the caller holds c.m.
+Entry* find(const Cache& c, const Key& key) {
+  for (const auto& e : c.entries) {
+    if (e->key == key) return e.get();
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 CellEnergetics characterize_cached(const models::PaperParams& pp,
                                    CellKind kind, double max_wall_seconds,
                                    int relax_attempt) {
-  const std::uint64_t key = cache_key(pp, kind, relax_attempt);
+  const Key key{pp, kind, relax_attempt};
   Cache& c = cache();
 
   Entry* entry = nullptr;
   {
     std::lock_guard<std::mutex> lock(c.m);
-    auto& slot = c.map[key];
-    if (!slot) slot = std::make_unique<Entry>();
-    entry = slot.get();
+    entry = find(c, key);
+    if (entry == nullptr) {
+      c.entries.push_back(std::make_unique<Entry>(key));
+      entry = c.entries.back().get();
+    }
   }
 
   std::lock_guard<std::mutex> lock(entry->compute);
@@ -86,12 +90,10 @@ CellEnergetics characterize_cached(const models::PaperParams& pp,
 
 std::optional<CellEnergetics> characterize_cache_peek(
     const models::PaperParams& pp, CellKind kind, int relax_attempt) {
-  const std::uint64_t key = cache_key(pp, kind, relax_attempt);
   Cache& c = cache();
   std::lock_guard<std::mutex> lock(c.m);
-  auto it = c.map.find(key);
-  if (it == c.map.end()) return std::nullopt;
-  Entry* entry = it->second.get();
+  Entry* entry = find(c, Key{pp, kind, relax_attempt});
+  if (entry == nullptr) return std::nullopt;
   // try_to_lock: if the entry is mid-compute (possibly by this very thread,
   // when the peek comes from the lint gate inside characterize()), report a
   // miss instead of blocking or recursing.
@@ -103,13 +105,13 @@ std::optional<CellEnergetics> characterize_cache_peek(
 CharacterizeCacheStats characterize_cache_stats() {
   Cache& c = cache();
   std::lock_guard<std::mutex> lock(c.m);
-  return {c.hits, c.misses, c.map.size()};
+  return {c.hits, c.misses, c.entries.size()};
 }
 
 void characterize_cache_clear() {
   Cache& c = cache();
   std::lock_guard<std::mutex> lock(c.m);
-  c.map.clear();
+  c.entries.clear();
   c.hits = 0;
   c.misses = 0;
 }

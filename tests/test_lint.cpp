@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "lint/lint_cache.h"
 #include "lint/linter.h"
 #include "lint/report.h"
 #include "lint/rules.h"
@@ -388,6 +387,23 @@ TEST(LintGate, PerRuleDisableAllowsTargetedOptOut) {
   EXPECT_NO_THROW(net->run_tran());
 }
 
+TEST(LintGate, EveryRunLintsTheNetlistAsItStands) {
+  auto net = parse(
+      "V1 a 0 DC 1\n"
+      "R1 a 0 1k\n"
+      ".tran 1n\n");
+  EXPECT_NO_THROW(net->run_tran());
+  // An edit after a clean run is linted on the next run: the verdict of
+  // the netlist as parsed does not carry over.
+  spice::Circuit& ckt = net->circuit();
+  ckt.add<spice::Resistor>("R2", ckt.node("x"), ckt.node("y"), 1e3);
+  EXPECT_THROW(net->run_tran(), lint::LintError);
+  // So is an options change.
+  net->lint_options().disable(lint::rules::kNoDcPath)
+      .disable(lint::rules::kFloatNode);
+  EXPECT_NO_THROW(net->run_tran());
+}
+
 // ---- parser location satellite ----------------------------------------------
 
 TEST(ParserLocation, DuplicateDeviceNameCarriesLine) {
@@ -706,116 +722,6 @@ TEST(LintGolden, PowerDeckFiresAcrossRows) {
   EXPECT_EQ(errors(lint::rules::kPowerWlInOffWindow), 2) << describe(got);
   EXPECT_EQ(errors(lint::rules::kPowerSneakPath), 18) << describe(got);
   EXPECT_EQ(errors(lint::rules::kDataReadBeforeRestore), 1) << describe(got);
-}
-
-// ---- lint-result cache ------------------------------------------------------
-
-constexpr const char* kCleanDeck =
-    "divider\n"
-    "V1 in 0 DC 2\n"
-    "R1 in out 1k\n"
-    "R2 out 0 1k\n"
-    ".end\n";
-
-TEST(LintCache, ContentHashIsStampedAtParseAndStableAcrossReparses) {
-  auto a = parse(kCleanDeck);
-  auto b = parse(kCleanDeck);
-  EXPECT_NE(a->content_hash(), 0u) << "parse must stamp a cacheable hash";
-  EXPECT_EQ(a->content_hash(), b->content_hash());
-  auto c = parse(
-      "divider\n"
-      "V1 in 0 DC 2\n"
-      "R1 in out 2k\n"
-      "R2 out 0 1k\n"
-      ".end\n");
-  EXPECT_NE(c->content_hash(), a->content_hash());
-}
-
-TEST(LintCache, MutationMakesTheNetlistUncacheable) {
-  auto net = parse(kCleanDeck);
-  ASSERT_NE(net->content_hash(), 0u);
-  net->circuit();  // non-const access may edit anything
-  EXPECT_EQ(net->content_hash(), 0u);
-}
-
-TEST(LintCache, EnsureLintOkHitsOnIdenticalText) {
-  lint::lint_cache_clear();
-  auto a = parse(kCleanDeck);
-  a->ensure_lint_ok();
-  const auto after_first = lint::lint_cache_stats();
-  EXPECT_EQ(after_first.entries, 1u);
-  EXPECT_EQ(after_first.hits, 0u);
-
-  // A fresh parse of the same text must reuse the verdict, not re-lint.
-  auto b = parse(kCleanDeck);
-  b->ensure_lint_ok();
-  const auto after_second = lint::lint_cache_stats();
-  EXPECT_EQ(after_second.entries, 1u);
-  EXPECT_EQ(after_second.hits, after_first.hits + 1);
-}
-
-TEST(LintCache, FailingVerdictsAreCachedToo) {
-  lint::lint_cache_clear();
-  const char* bad =
-      "bad diode\n"
-      "V1 a 0 DC 0.2\n"
-      "D1 a 0 is=-1e-15\n"
-      "R1 a 0 1k\n"
-      ".end\n";
-  auto a = parse(bad);
-  EXPECT_THROW(a->ensure_lint_ok(), lint::LintError);
-  auto b = parse(bad);
-  EXPECT_THROW(b->ensure_lint_ok(), lint::LintError);
-  const auto stats = lint::lint_cache_stats();
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.hits, 1u) << "the second throw must come from the cache";
-}
-
-TEST(LintCache, OptionsFingerprintSeparatesCacheLines) {
-  lint::lint_cache_clear();
-  auto a = parse(kCleanDeck);
-  a->ensure_lint_ok();
-  auto b = parse(kCleanDeck);
-  b->lint_options().disabled.insert(lint::rules::kFloatNode);
-  b->ensure_lint_ok();
-  // Same text, different options: two distinct cache entries, no false hit.
-  const auto stats = lint::lint_cache_stats();
-  EXPECT_EQ(stats.entries, 2u);
-  EXPECT_EQ(stats.hits, 0u);
-}
-
-TEST(LintCache, FingerprintReflectsDisablesAndSeverityFloor) {
-  LintOptions base;
-  const std::uint64_t fp = base.fingerprint();
-  EXPECT_EQ(fp, LintOptions{}.fingerprint()) << "fingerprint is a pure value";
-
-  LintOptions disabled = base;
-  disabled.disabled.insert(lint::rules::kFloatNode);
-  EXPECT_NE(disabled.fingerprint(), fp);
-
-  // Insertion order of the disabled set must not matter.
-  LintOptions ab, ba;
-  ab.disabled.insert(lint::rules::kFloatNode);
-  ab.disabled.insert(lint::rules::kNoDcPath);
-  ba.disabled.insert(lint::rules::kNoDcPath);
-  ba.disabled.insert(lint::rules::kFloatNode);
-  EXPECT_EQ(ab.fingerprint(), ba.fingerprint());
-
-  LintOptions floor = base;
-  floor.min_severity = Severity::kError;
-  EXPECT_NE(floor.fingerprint(), fp);
-}
-
-TEST(LintCache, MutatedNetlistNeverConsultsTheCache) {
-  lint::lint_cache_clear();
-  auto a = parse(kCleanDeck);
-  a->ensure_lint_ok();
-  auto b = parse(kCleanDeck);
-  b->circuit();  // invalidate: hash 0 must bypass lookup and store
-  b->ensure_lint_ok();
-  const auto stats = lint::lint_cache_stats();
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.hits, 0u);
 }
 
 }  // namespace

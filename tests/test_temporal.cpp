@@ -12,10 +12,13 @@
 //    process-wide characterization cache.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lint/linter.h"
@@ -461,25 +464,80 @@ TEST(CharacterizeCache, SecondCallIsAHit) {
   sram::characterize_cache_clear();
 }
 
-TEST(CharacterizeCache, FingerprintTracksEveryField) {
-  const models::PaperParams base;
-  models::PaperParams changed = base;
-  EXPECT_EQ(base.fingerprint(), changed.fingerprint());
-  changed.vdd = 0.85;
-  EXPECT_NE(base.fingerprint(), changed.fingerprint());
-  changed = base;
-  changed.mtj.jc *= 1.01;
-  EXPECT_NE(base.fingerprint(), changed.fingerprint());
+TEST(CharacterizeCache, HitsOnlyOnTheExactKey) {
+  using models::MTJParams;
+  using models::PaperParams;
+  using sram::CellKind;
+  sram::characterize_cache_clear();
+  const PaperParams base;
+  sram::characterize_cached(base, CellKind::k6T);
 
-  // The temporal-lint config is part of the cache identity too.
-  TemporalOptions a = TemporalOptions::from_paper(base);
-  TemporalOptions b = a;
-  EXPECT_EQ(a.fingerprint(), b.fingerprint());
-  b.retention_floor = 0.5;
-  EXPECT_NE(a.fingerprint(), b.fingerprint());
-  b = a;
-  b.arch = TemporalOptions::Arch::kNOF;
-  EXPECT_NE(a.fingerprint(), b.fingerprint());
+  const PaperParams copy = base;
+  EXPECT_TRUE(sram::characterize_cache_peek(copy, CellKind::k6T));
+  EXPECT_FALSE(sram::characterize_cache_peek(base, CellKind::kNvSram));
+  EXPECT_FALSE(sram::characterize_cache_peek(base, CellKind::k6T, 1));
+
+  // Every field is part of the key: one ulp in a double or +1 in an int is
+  // another parameter point.
+  const std::pair<double PaperParams::*, const char*> doubles[] = {
+      {&PaperParams::channel_length, "channel_length"},
+      {&PaperParams::fin_width, "fin_width"},
+      {&PaperParams::fin_height, "fin_height"},
+      {&PaperParams::temperature, "temperature"},
+      {&PaperParams::vdd, "vdd"},
+      {&PaperParams::vsr, "vsr"},
+      {&PaperParams::vctrl_store, "vctrl_store"},
+      {&PaperParams::vctrl_normal, "vctrl_normal"},
+      {&PaperParams::vctrl_sleep, "vctrl_sleep"},
+      {&PaperParams::vvdd_sleep, "vvdd_sleep"},
+      {&PaperParams::vvdd_retention_floor, "vvdd_retention_floor"},
+      {&PaperParams::vpg_supercutoff, "vpg_supercutoff"},
+      {&PaperParams::power_switch_vth, "power_switch_vth"},
+      {&PaperParams::clock_hz, "clock_hz"},
+      {&PaperParams::store_pulse, "store_pulse"},
+      {&PaperParams::store_current_factor, "store_current_factor"},
+  };
+  const std::pair<int PaperParams::*, const char*> ints[] = {
+      {&PaperParams::fins_load, "fins_load"},
+      {&PaperParams::fins_driver, "fins_driver"},
+      {&PaperParams::fins_access, "fins_access"},
+      {&PaperParams::fins_ps, "fins_ps"},
+      {&PaperParams::fins_power_switch, "fins_power_switch"},
+  };
+  const std::pair<double MTJParams::*, const char*> mtj_doubles[] = {
+      {&MTJParams::tmr0, "mtj.tmr0"},
+      {&MTJParams::ra_product, "mtj.ra_product"},
+      {&MTJParams::vh, "mtj.vh"},
+      {&MTJParams::jc, "mtj.jc"},
+      {&MTJParams::diameter, "mtj.diameter"},
+      {&MTJParams::tau0, "mtj.tau0"},
+      {&MTJParams::thermal_stability, "mtj.thermal_stability"},
+      {&MTJParams::attempt_time, "mtj.attempt_time"},
+      {&MTJParams::error_tail_factor, "mtj.error_tail_factor"},
+  };
+  const double up = std::numeric_limits<double>::infinity();
+  for (const auto& [field, name] : doubles) {
+    PaperParams pp = base;
+    pp.*field = std::nextafter(pp.*field, up);
+    EXPECT_FALSE(sram::characterize_cache_peek(pp, CellKind::k6T)) << name;
+  }
+  for (const auto& [field, name] : ints) {
+    PaperParams pp = base;
+    pp.*field += 1;
+    EXPECT_FALSE(sram::characterize_cache_peek(pp, CellKind::k6T)) << name;
+  }
+  for (const auto& [field, name] : mtj_doubles) {
+    PaperParams pp = base;
+    pp.mtj.*field = std::nextafter(pp.mtj.*field, up);
+    EXPECT_FALSE(sram::characterize_cache_peek(pp, CellKind::k6T)) << name;
+  }
+
+  // Peeks never compute: the one characterization above is the only entry.
+  const auto stats = sram::characterize_cache_stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.entries, 1u);
+  sram::characterize_cache_clear();
 }
 
 // ---- rule catalog families ----
