@@ -1,7 +1,7 @@
 // Simulator-kernel microbenchmarks (google-benchmark): dense, planned-cell
-// and sparse LU, Newton DC solves of the NV-SRAM cell, and transient
-// throughput.  These are not paper figures; they document the substrate's
-// performance.
+// and sparse LU, Newton DC solves of the NV-SRAM cell, transient
+// throughput, and the SNM square search.  These are not paper figures; they
+// document the substrate's performance.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -16,6 +16,8 @@
 #include "spice/newton.h"
 #include "sram/array.h"
 #include "sram/characterize.h"
+#include "sram/montecarlo.h"
+#include "sram/snm.h"
 #include "sram/testbench.h"
 
 namespace {
@@ -285,6 +287,25 @@ void BM_CellCharacterization(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CellCharacterization)->Unit(benchmark::kMillisecond);
+
+// The butterfly-curve square search alone, on one mismatched NV-cell read
+// VTC pair (121 points each, sigma_Vth = 30 mV) swept once before timing.
+void BM_SnmSquareSearch(benchmark::State& state) {
+  const auto pp = models::PaperParams::table1();
+  sram::VariationSpec spec;
+  spec.vth_sigma = 0.03;
+  sram::MonteCarlo mc(pp, spec);
+  sram::SnmOptions a, b;
+  a.access_on = b.access_on = true;
+  a.fet_vary = mc.draw_fet_vary();
+  b.fet_vary = mc.draw_fet_vary();
+  const auto vtc_a = sram::inverter_vtc(pp, sram::CellKind::kNvSram, a);
+  const auto vtc_b = sram::inverter_vtc(pp, sram::CellKind::kNvSram, b);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sram::compute_snm(vtc_a, vtc_b));
+  }
+}
+BENCHMARK(BM_SnmSquareSearch)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

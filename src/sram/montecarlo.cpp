@@ -48,6 +48,7 @@ MonteCarloSummary MonteCarlo::hold_snm(int samples, CellKind kind,
   MonteCarloSummary out;
   for (int s = 0; s < samples; ++s) {
     SnmOptions a, b;
+    a.relax_attempt = b.relax_attempt = spec_.relax_attempt;
     a.fet_vary = draw_fet_vary();
     b.fet_vary = draw_fet_vary();
     const auto vtc_a = inverter_vtc(pp_, kind, a);
@@ -66,6 +67,7 @@ MonteCarloSummary MonteCarlo::read_snm(int samples, CellKind kind,
   for (int s = 0; s < samples; ++s) {
     SnmOptions a, b;
     a.access_on = b.access_on = true;
+    a.relax_attempt = b.relax_attempt = spec_.relax_attempt;
     a.fet_vary = draw_fet_vary();
     b.fet_vary = draw_fet_vary();
     const auto r =

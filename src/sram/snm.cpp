@@ -64,7 +64,9 @@ std::vector<std::pair<double, double>> inverter_vtc(
                                                    std::max(opts.sweep_points, 3)));
   spice::DCSweep sweep(
       ckt, [vin](double v) { vin->set_spec(spice::SourceSpec::dc(v)); }, points,
-      {spice::Probe::node_voltage(n_out, "V(out)")});
+      {spice::Probe::node_voltage(n_out, "V(out)")},
+      spice::DCOptions{
+          .newton = spice::NewtonOptions{}.relaxed(opts.relax_attempt)});
   const auto wave = sweep.run();
 
   std::vector<std::pair<double, double>> vtc;
@@ -84,27 +86,57 @@ namespace {
 // the right end (y_top <= f(x+s)) and the bottom edge at the left end
 // (y_bot >= f_inv(x)); a side-s square fits iff
 //     exists x:  f(x + s) - f_inv(x) >= s.
-// Feasibility is tested over a fine x grid with binary search on s.
+// Feasibility is tested on a 401-point grid of left edges x, and s is
+// bisected on [0, x_hi - x_lo] for at most 60 steps after a first probe at
+// 1e-9.
+//
+// Exactness invariants: the result is, bit for bit, what the plain search
+// returns (a binary search per curve evaluation, every probe scanning the
+// grid from index 0, all 60 bisection steps).
+//   1. A curve evaluation walks from the segment its previous call ended on
+//      and lands on the segment upper_bound finds, so it returns the same
+//      double.
+//   2. A probe scans the grid from the index where the last square fit and
+//      wraps round to 0.  Any fitting point decides a probe, so the scan
+//      order cannot change its verdict.
+//   3. hi only ever holds a side that failed, or the untried whole range.
+//      Once the midpoint rounds onto lo, no step can move lo; once it
+//      rounds onto a hi that failed, every later step repeats that failing
+//      probe.  Either way the bisection stops there.
 double largest_square(const util::PiecewiseLinear& f,
                       const util::PiecewiseLinear& f_inv, double x_lo,
                       double x_hi) {
+  constexpr int kGrid = 400;
+  std::size_t f_segment = 0;
+  std::size_t f_inv_segment = 0;
+  int last_fit = 0;
   const auto fits = [&](double s) {
     // The whole square must stay inside the curves' domain: x + s <= x_hi.
     const double x_max = x_hi - s;
     if (x_max < x_lo) return false;
-    const int kGrid = 400;
-    for (int i = 0; i <= kGrid; ++i) {
+    int i = last_fit;
+    for (int k = 0; k <= kGrid; ++k, i = i == kGrid ? 0 : i + 1) {
       const double x = x_lo + (x_max - x_lo) * i / kGrid;
-      if (f(x + s) - f_inv(x) >= s) return true;
+      if (f(x + s, f_segment) - f_inv(x, f_inv_segment) >= s) {
+        last_fit = i;
+        return true;
+      }
     }
     return false;
   };
   double lo = 0.0;
   double hi = x_hi - x_lo;
+  bool hi_failed = false;  // false while hi is the untried whole range
   if (!fits(lo + 1e-9)) return 0.0;
   for (int iter = 0; iter < 60; ++iter) {
     const double mid = 0.5 * (lo + hi);
-    (fits(mid) ? lo : hi) = mid;
+    if (mid == lo || (mid == hi && hi_failed)) break;
+    if (fits(mid)) {
+      lo = mid;
+    } else {
+      hi = mid;
+      hi_failed = true;
+    }
   }
   return lo;
 }

@@ -2,9 +2,11 @@
 //
 // The paper leans on the claim that separating the MTJs via PS-FinFETs
 // preserves large normal-mode SNMs; these helpers quantify that on our
-// substrate.  The SNM is computed with the standard 45-degree rotation of
-// the two inverter voltage-transfer curves: the side of the largest square
-// embedded in each butterfly lobe, reported as the smaller of the two lobes.
+// substrate.  The butterfly is one inverter's voltage-transfer curve and
+// the other's mirrored about y = x.  Each lobe is measured as the side of
+// the largest axis-aligned square inscribed in it, found by bisection on
+// the side: a probe asks whether a square of that side fits with its left
+// edge anywhere on a 401-point grid.  The SNM is the smaller lobe.
 #pragma once
 
 #include "models/paper_params.h"
@@ -26,6 +28,9 @@ struct SnmOptions {
   // Device mismatch hook (Monte-Carlo); device names are "pu", "pd", "ax",
   // "ps" within this inverter.
   FetVary fet_vary;
+  // Rung of the shared relaxation ladder (NewtonOptions::relaxed) for the
+  // sweep's DC solves; 0 keeps the default tolerances.
+  int relax_attempt = 0;
 };
 
 // VTC of the cell inverter (with optional access transistor / PS branch

@@ -21,12 +21,11 @@ PiecewiseLinear::PiecewiseLinear(std::vector<double> xs, std::vector<double> ys)
 
 double PiecewiseLinear::operator()(double x) const {
   if (xs_.empty()) return 0.0;
+  if (std::isnan(x)) return x;
   if (x <= xs_.front()) return ys_.front();
   if (x >= xs_.back()) return ys_.back();
   const auto it = std::upper_bound(xs_.begin(), xs_.end(), x);
-  const std::size_t i = static_cast<std::size_t>(it - xs_.begin());
-  const double t = (x - xs_[i - 1]) / (xs_[i] - xs_[i - 1]);
-  return ys_[i - 1] + t * (ys_[i] - ys_[i - 1]);
+  return interpolate(static_cast<std::size_t>(it - xs_.begin()), x);
 }
 
 double PiecewiseLinear::extrapolate(double x) const {

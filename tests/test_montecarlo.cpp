@@ -83,6 +83,24 @@ TEST(MonteCarloTest, ReadSnmWorseThanHoldUnderVariation) {
   EXPECT_LT(r.stats.mean(), h.stats.mean());
 }
 
+TEST(MonteCarloTest, RelaxAttemptReachesSnmSweeps) {
+  // A retry loosens the DC sweeps' Newton tolerances: the same draws give
+  // slightly different VTCs, so the SNM moves, but by far less than 1 mV.
+  VariationSpec spec;
+  VariationSpec relaxed = spec;
+  relaxed.relax_attempt = 1;
+  MonteCarlo mc0(PaperParams::table1(), spec);
+  MonteCarlo mc1(PaperParams::table1(), relaxed);
+  const double hold0 = mc0.hold_snm(2).stats.mean();
+  const double hold1 = mc1.hold_snm(2).stats.mean();
+  const double read0 = mc0.read_snm(2).stats.mean();
+  const double read1 = mc1.read_snm(2).stats.mean();
+  EXPECT_NE(hold0, hold1);
+  EXPECT_NE(read0, read1);
+  EXPECT_NEAR(hold0, hold1, 1e-3);
+  EXPECT_NEAR(read0, read1, 1e-3);
+}
+
 TEST(MonteCarloTest, YieldAccounting) {
   sram::MonteCarloSummary s;
   s.samples = 10;

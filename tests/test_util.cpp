@@ -1,9 +1,14 @@
 // Utility module tests: formatting, CSV, root finding, interpolation, stats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <random>
 
 #include "util/csv.h"
 #include "util/interp.h"
@@ -157,6 +162,51 @@ TEST(PiecewiseLinearTest, Intersection) {
 
 TEST(PiecewiseLinearTest, RejectsUnsortedX) {
   EXPECT_THROW(PiecewiseLinear({0.0, 0.0}, {1.0, 2.0}), std::invalid_argument);
+}
+
+TEST(PiecewiseLinearTest, HintedEvaluationMatchesPlain) {
+  // 121 knots with uneven spacing and an uneven, non-monotone curve.
+  std::vector<double> xs, ys;
+  for (int i = 0; i <= 120; ++i) {
+    const double u = i / 120.0;
+    xs.push_back(0.9 * u * u + 0.1 * u);
+    ys.push_back(std::sin(7.0 * u) + 0.3 * u);
+  }
+  const PiecewiseLinear pl(xs, ys);
+
+  std::vector<double> ascending;
+  for (int k = 0; k <= 2000; ++k) ascending.push_back(-0.05 + 1.1 * k / 2000);
+  std::vector<double> descending(ascending.rbegin(), ascending.rend());
+  std::vector<double> shuffled = ascending;
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937(7));
+  std::vector<double> edges = xs;  // every knot, then the clamps and beyond
+  edges.insert(edges.end(),
+               {xs.front(), xs.back(), std::nextafter(xs.front(), 1.0),
+                std::nextafter(xs.back(), 0.0), -1.0, 2.0, xs[60], -1e300,
+                1e300, xs[1], xs[119]});
+
+  for (const auto* order : {&ascending, &descending, &shuffled, &edges}) {
+    // A fresh hint, and one left past the last segment by another curve.
+    for (std::size_t start : {std::size_t{0}, std::size_t{1000}}) {
+      std::size_t segment = start;
+      for (double x : *order) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(pl(x, segment)),
+                  std::bit_cast<std::uint64_t>(pl(x)))
+            << "x = " << x;
+      }
+    }
+  }
+}
+
+TEST(PiecewiseLinearTest, NanArgumentGivesNan) {
+  const PiecewiseLinear pl({0.0, 1.0, 2.0}, {0.0, 10.0, 0.0});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(pl(nan)));
+  EXPECT_TRUE(std::isnan(pl.extrapolate(nan)));
+  std::size_t segment = 1;
+  EXPECT_TRUE(std::isnan(pl(nan, segment)));
+  // The hint still works after a NaN.
+  EXPECT_DOUBLE_EQ(pl(1.5, segment), 5.0);
 }
 
 TEST(TrapezoidIntegral, MatchesAnalytic) {
