@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
 
     // Report MTJ end states if any are present.
     for (const auto& dev : net->circuit().devices()) {
-      if (auto* mtj = dynamic_cast<spice::MTJElement*>(dev.get())) {
+      if (auto* mtj = spice::device_cast<spice::MTJElement>(dev.get())) {
         std::cout << "MTJ " << mtj->name() << ": state "
                   << models::to_string(mtj->state()) << " after "
                   << mtj->switch_count() << " switch(es)\n";

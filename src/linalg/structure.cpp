@@ -15,30 +15,40 @@ SparsityPattern SparsityPattern::from_csr(const CsrMatrix& a) {
 
 SparsityPattern SparsityPattern::from_triplets(
     std::size_t n, const std::vector<Triplet>& triplets) {
-  std::vector<std::pair<std::size_t, std::size_t>> pos;
-  pos.reserve(triplets.size());
+  // Counting sort by row: row_ptr_[r + 1] counts row r, and the prefix sum
+  // turns row_ptr_[r] into where row r's bucket starts.
+  SparsityPattern p;
+  p.n_ = n;
+  p.row_ptr_.assign(n + 1, 0);
   for (const auto& t : triplets) {
     if (t.row >= n || t.col >= n) {
       throw std::out_of_range("SparsityPattern: triplet out of range");
     }
-    pos.emplace_back(t.row, t.col);
+    ++p.row_ptr_[t.row + 1];
   }
-  std::sort(pos.begin(), pos.end());
-  pos.erase(std::unique(pos.begin(), pos.end()), pos.end());
+  for (std::size_t r = 0; r < n; ++r) p.row_ptr_[r + 1] += p.row_ptr_[r];
+  std::vector<std::size_t>& cols = p.col_idx_;
+  cols.resize(triplets.size());
+  // row_ptr_[r] is row r's cursor here, so afterwards it is where row r ends.
+  for (const auto& t : triplets) cols[p.row_ptr_[t.row]++] = t.col;
 
-  SparsityPattern p;
-  p.n_ = n;
-  p.row_ptr_.assign(n + 1, 0);
-  p.col_idx_.reserve(pos.size());
-  std::size_t i = 0;
+  // Sort each row's few columns and drop repeats, compacting in place: the
+  // kept columns of a row never start after its bucket does.
+  std::size_t begin = 0;
+  std::size_t kept = 0;
   for (std::size_t r = 0; r < n; ++r) {
-    p.row_ptr_[r] = p.col_idx_.size();
-    while (i < pos.size() && pos[i].first == r) {
-      p.col_idx_.push_back(pos[i].second);
-      ++i;
+    const std::size_t end = p.row_ptr_[r];
+    std::sort(cols.begin() + begin, cols.begin() + end);
+    p.row_ptr_[r] = kept;
+    for (std::size_t k = begin; k < end; ++k) {
+      if (kept == p.row_ptr_[r] || cols[kept - 1] != cols[k]) {
+        cols[kept++] = cols[k];
+      }
     }
+    begin = end;
   }
-  p.row_ptr_[n] = p.col_idx_.size();
+  p.row_ptr_[n] = kept;
+  cols.resize(kept);
   return p;
 }
 

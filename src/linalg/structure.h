@@ -30,7 +30,9 @@ class SparsityPattern {
   SparsityPattern() = default;
 
   static SparsityPattern from_csr(const CsrMatrix& a);
-  // Deduplicates; out-of-range entries throw.
+  // Deduplicates; out-of-range entries throw before anything is built.
+  // Buckets the triplets by row and sorts each row's columns: O(nnz + n)
+  // for rows of bounded degree.
   static SparsityPattern from_triplets(std::size_t n,
                                        const std::vector<Triplet>& triplets);
 

@@ -206,8 +206,8 @@ class Linter {
   void check_self_connected() {
     for (const auto& dev : circuit_.devices()) {
       if (dev->voltage_branch()) continue;  // vsource-shorted covers these
-      if (const auto* fet = dynamic_cast<const spice::FinFETElement*>(
-              dev.get())) {
+      if (const auto* fet =
+              spice::device_cast<spice::FinFETElement>(dev.get())) {
         if (fet->drain() == fet->source()) {
           emit_device(rules::kSelfConnected,
                       "FET '" + dev->name() +
@@ -332,26 +332,26 @@ class Linter {
   // ---- nonphysical-value -------------------------------------------------
   void check_values() {
     for (const auto& dev : circuit_.devices()) {
-      if (const auto* r = dynamic_cast<const spice::Resistor*>(dev.get())) {
+      if (const auto* r = spice::device_cast<spice::Resistor>(dev.get())) {
         check_positive(*dev, "resistance", r->resistance());
       } else if (const auto* c =
-                     dynamic_cast<const spice::Capacitor*>(dev.get())) {
+                     spice::device_cast<spice::Capacitor>(dev.get())) {
         check_positive(*dev, "capacitance", c->capacitance());
       } else if (const auto* l =
-                     dynamic_cast<const spice::Inductor*>(dev.get())) {
+                     spice::device_cast<spice::Inductor>(dev.get())) {
         check_positive(*dev, "inductance", l->inductance());
-      } else if (const auto* fet = dynamic_cast<const spice::FinFETElement*>(
-                     dev.get())) {
+      } else if (const auto* fet =
+                     spice::device_cast<spice::FinFETElement>(dev.get())) {
         const auto& p = fet->model().params();
         check_positive(*dev, "fin count", static_cast<double>(p.fin_count));
         check_positive(*dev, "channel length", p.channel_length);
       } else if (const auto* mtj =
-                     dynamic_cast<const spice::MTJElement*>(dev.get())) {
+                     spice::device_cast<spice::MTJElement>(dev.get())) {
         const auto& p = mtj->model().params();
         check_positive(*dev, "tau0", p.tau0);
         check_positive(*dev, "diameter", p.diameter);
       } else if (const auto* diode =
-                     dynamic_cast<const spice::Diode*>(dev.get())) {
+                     spice::device_cast<spice::Diode>(dev.get())) {
         check_positive(*dev, "saturation current",
                        diode->saturation_current());
       }
@@ -372,10 +372,10 @@ class Linter {
     std::vector<const spice::MTJElement*> mtjs;
     for (const auto& dev : circuit_.devices()) {
       if (const auto* f =
-              dynamic_cast<const spice::FinFETElement*>(dev.get())) {
+              spice::device_cast<spice::FinFETElement>(dev.get())) {
         fets.push_back(f);
       } else if (const auto* m =
-                     dynamic_cast<const spice::MTJElement*>(dev.get())) {
+                     spice::device_cast<spice::MTJElement>(dev.get())) {
         mtjs.push_back(m);
       }
     }
@@ -484,8 +484,8 @@ class Linter {
         emit(rules::kCardUnresolved,
              ".dc sweeps unknown source '" + dc->source + "'", dc->source, "",
              -1);
-      } else if (dynamic_cast<spice::VSource*>(src) == nullptr &&
-                 dynamic_cast<spice::ISource*>(src) == nullptr) {
+      } else if (spice::device_cast<spice::VSource>(src) == nullptr &&
+                 spice::device_cast<spice::ISource>(src) == nullptr) {
         emit(rules::kCardUnresolved,
              ".dc source '" + dc->source + "' is not an independent V/I "
              "source",

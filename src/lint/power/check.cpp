@@ -93,14 +93,14 @@ class PowerChecker {
     const std::size_t n = ckt_.node_count();
     source_of_.assign(n, nullptr);
     for (const auto& dev : ckt_.devices()) {
-      if (const auto* src = dynamic_cast<const VSource*>(dev.get())) {
+      if (const auto* src = spice::device_cast<VSource>(dev.get())) {
         const auto terms = src->terminals();
         if (!terms.empty() && terms.front().node != spice::kGround) {
           source_of_[terms.front().node] = src;
         }
         continue;
       }
-      const auto* fet = dynamic_cast<const FinFETElement*>(dev.get());
+      const auto* fet = spice::device_cast<FinFETElement>(dev.get());
       if (fet != nullptr) fets_.push_back(fet);
       if (!dc_edges) continue;
       if (dev->voltage_branch()) continue;  // statically unknown pinned level
@@ -396,13 +396,13 @@ class PowerChecker {
     path << ckt_.node_name(start);
     const Device* first_dev = interior.empty() ? final_dev : via_[interior[0]];
     for (NodeId node : interior) {
-      const auto* fet = dynamic_cast<const FinFETElement*>(via_[node]);
+      const auto* fet = spice::device_cast<FinFETElement>(via_[node]);
       if (fet != nullptr && fet_conducts(*fet, t) == Conduct::kMaybe) {
         maybe = true;
       }
       path << " -> " << ckt_.node_name(node);
     }
-    if (const auto* fet = dynamic_cast<const FinFETElement*>(final_dev)) {
+    if (const auto* fet = spice::device_cast<FinFETElement>(final_dev)) {
       if (fet_conducts(*fet, t) == Conduct::kMaybe) maybe = true;
     }
     path << " -> " << ckt_.node_name(end);

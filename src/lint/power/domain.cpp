@@ -103,7 +103,7 @@ DomainMap extract_domains(const Circuit& circuit,
   std::vector<SignalRole> node_role(n, SignalRole::kOther);
   std::vector<NodeId> supply_seeds;
   for (const auto& dev : circuit.devices()) {
-    const auto* src = dynamic_cast<const VSource*>(dev.get());
+    const auto* src = spice::device_cast<VSource>(dev.get());
     if (src == nullptr) continue;
     const auto terms = src->terminals();
     if (terms.empty()) continue;
@@ -125,7 +125,7 @@ DomainMap extract_domains(const Circuit& circuit,
   };
   std::vector<RawSwitch> raw_switches;
   for (const auto& dev : circuit.devices()) {
-    const auto* fet = dynamic_cast<const FinFETElement*>(dev.get());
+    const auto* fet = spice::device_cast<FinFETElement>(dev.get());
     if (fet == nullptr) continue;
     if (node_role[fet->gate()] == SignalRole::kPowerGate) {
       raw_switches.push_back({fet});
@@ -143,10 +143,10 @@ DomainMap extract_domains(const Circuit& circuit,
   // sources are held nodes, never wiring.
   std::vector<std::vector<Edge>> adj(n);
   for (const auto& dev : circuit.devices()) {
-    if (dynamic_cast<const VSource*>(dev.get()) != nullptr) continue;
-    if (dynamic_cast<const spice::ISource*>(dev.get()) != nullptr) continue;
+    if (spice::device_cast<VSource>(dev.get()) != nullptr) continue;
+    if (spice::device_cast<spice::ISource>(dev.get()) != nullptr) continue;
     if (dev->voltage_branch()) continue;  // VCVS outputs pin, they don't wire
-    if (const auto* fet = dynamic_cast<const FinFETElement*>(dev.get())) {
+    if (const auto* fet = spice::device_cast<FinFETElement>(dev.get())) {
       if (is_switch(dev.get())) continue;        // domain boundary by role
       if (!map.driven_by[fet->gate()].empty()) continue;  // steering switch
     }

@@ -217,11 +217,11 @@ Timeline extract_timeline(const spice::ParsedNetlist& netlist) {
   const spice::Circuit& ckt = netlist.circuit();
   double last_event = 0.0;
   for (const auto& dev : ckt.devices()) {
-    const auto* src = dynamic_cast<const spice::VSource*>(dev.get());
+    const auto* src = spice::device_cast<spice::VSource>(dev.get());
     if (src == nullptr) {
-      if (dynamic_cast<const spice::MTJElement*>(dev.get()) != nullptr) {
+      if (spice::device_cast<spice::MTJElement>(dev.get()) != nullptr) {
         tl.has_mtj = true;
-      } else if (dynamic_cast<const spice::FinFETElement*>(dev.get()) !=
+      } else if (spice::device_cast<spice::FinFETElement>(dev.get()) !=
                  nullptr) {
         tl.has_fet = true;
       }

@@ -118,7 +118,7 @@ std::vector<Diagnostic> check_netlist_units(const spice::ParsedNetlist& nl,
                                             const Timeline& timeline) {
   std::vector<Diagnostic> out = check_timeline_units(timeline);
   for (const auto& dev : nl.circuit().devices()) {
-    const auto* mtj = dynamic_cast<const spice::MTJElement*>(dev.get());
+    const auto* mtj = spice::device_cast<spice::MTJElement>(dev.get());
     if (mtj == nullptr) continue;
     check_mtj_params(mtj->model().params(), mtj->name(),
                      nl.device_line(mtj->name()), out);

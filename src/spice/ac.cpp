@@ -121,10 +121,10 @@ Waveform ACAnalysis::run() {
   };
   std::vector<IndEntry> inductors;
   for (const auto& dev : circuit_.devices()) {
-    if (const auto* cap = dynamic_cast<const Capacitor*>(dev.get())) {
+    if (const auto* cap = device_cast<Capacitor>(dev.get())) {
       caps.push_back({layout.node_index(cap->node_a()),
                       layout.node_index(cap->node_b()), cap->capacitance()});
-    } else if (const auto* ind = dynamic_cast<const Inductor*>(dev.get())) {
+    } else if (const auto* ind = device_cast<Inductor>(dev.get())) {
       inductors.push_back({ind->branch_index(), ind->inductance()});
     }
   }
@@ -132,9 +132,9 @@ Waveform ACAnalysis::run() {
   // ---- AC excitation vector ----
   std::vector<Complex> rhs(n, Complex(0.0));
   for (const auto& [dev, mag] : ac_magnitudes_) {
-    if (const auto* vs = dynamic_cast<const VSource*>(dev)) {
+    if (const auto* vs = device_cast<VSource>(dev)) {
       rhs[vs->branch_index()] += mag;
-    } else if (const auto* is = dynamic_cast<const ISource*>(dev)) {
+    } else if (const auto* is = device_cast<ISource>(dev)) {
       const std::size_t from = layout.node_index(is->node_from());
       const std::size_t to = layout.node_index(is->node_to());
       if (from != MnaLayout::kNoIndex) rhs[from] -= mag;

@@ -9,12 +9,9 @@ Circuit::Circuit() {
 }
 
 NodeId Circuit::node(const std::string& name) {
-  const auto it = node_ids_.find(name);
-  if (it != node_ids_.end()) return it->second;
-  const NodeId id = node_names_.size();
-  node_names_.push_back(name);
-  node_ids_.emplace(name, id);
-  return id;
+  const auto [it, fresh] = node_ids_.try_emplace(name, node_names_.size());
+  if (fresh) node_names_.push_back(name);
+  return it->second;
 }
 
 NodeId Circuit::find_node(const std::string& name) const {

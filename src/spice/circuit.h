@@ -9,6 +9,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -36,11 +37,18 @@ class Circuit {
   T* add(Args&&... args) {
     auto dev = std::make_unique<T>(std::forward<Args>(args)...);
     T* raw = dev.get();
-    if (device_index_.count(raw->name())) {
-      throw std::invalid_argument("Circuit: duplicate device name " + raw->name());
+    const auto [slot, fresh] =
+        device_index_.try_emplace(raw->name(), devices_.size());
+    if (!fresh) {
+      throw std::invalid_argument("Circuit: duplicate device name " +
+                                  raw->name());
     }
-    device_index_.emplace(raw->name(), devices_.size());
-    devices_.push_back(std::move(dev));
+    try {
+      devices_.push_back(std::move(dev));
+    } catch (...) {
+      device_index_.erase(slot);  // its key views the name `dev` frees
+      throw;
+    }
     return raw;
   }
 
@@ -62,7 +70,9 @@ class Circuit {
   std::vector<std::string> node_names_;
   std::unordered_map<std::string, NodeId> node_ids_;
   std::vector<std::unique_ptr<Device>> devices_;
-  std::unordered_map<std::string, std::size_t> device_index_;
+  // Keyed by views of the devices' own names: each device lives as long as
+  // its unique_ptr in devices_, and none is ever removed.
+  std::unordered_map<std::string_view, std::size_t> device_index_;
   std::optional<FaultPlan> fault_plan_;
 };
 

@@ -9,8 +9,11 @@
 namespace nvsram::spice {
 
 // Voltage-controlled voltage source:  v(p) - v(n) = gain * (v(cp) - v(cn)).
-class VCVS : public Device {
+class VCVS final : public Device {
  public:
+  static constexpr DeviceKind kKind = DeviceKind::kVCVS;
+  DeviceKind kind() const override { return kKind; }
+
   VCVS(std::string name, NodeId p, NodeId n, NodeId control_p, NodeId control_n,
        double gain);
 
@@ -19,11 +22,11 @@ class VCVS : public Device {
   void stamp_pattern(PatternContext& ctx) const override;
   // Branch current, + -> - internally (same convention as VSource).
   double current(const SolutionView& s) const override;
-  std::vector<TerminalRef> terminals() const override {
+  TerminalList terminals() const override {
     return {{"+", p_}, {"-", n_}, {"c+", cp_}, {"c-", cn_}};
   }
   // The output branch conducts (and pins a voltage); control pins sense only.
-  std::vector<std::pair<NodeId, NodeId>> dc_paths() const override {
+  DcPathList dc_paths() const override {
     return {{p_, n_}};
   }
   std::optional<std::pair<NodeId, NodeId>> voltage_branch() const override {
@@ -41,8 +44,11 @@ class VCVS : public Device {
 
 // Voltage-controlled current source:
 // current `gm * (v(cp) - v(cn))` flows from node p through the source to n.
-class VCCS : public Device {
+class VCCS final : public Device {
  public:
+  static constexpr DeviceKind kKind = DeviceKind::kVCCS;
+  DeviceKind kind() const override { return kKind; }
+
   VCCS(std::string name, NodeId p, NodeId n, NodeId control_p, NodeId control_n,
        double transconductance);
 
@@ -50,7 +56,7 @@ class VCCS : public Device {
   void stamp_pattern(PatternContext& ctx) const override;
   double current(const SolutionView& s) const override;
   // Output is a current source (no DC conductance); control pins sense only.
-  std::vector<TerminalRef> terminals() const override {
+  TerminalList terminals() const override {
     return {{"+", p_}, {"-", n_}, {"c+", cp_}, {"c-", cn_}};
   }
 

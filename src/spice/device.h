@@ -4,8 +4,12 @@
 // Node 0 is ground and is eliminated from the system.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
+#include <initializer_list>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,10 +24,54 @@ inline constexpr NodeId kGround = 0;
 
 // One external pin of a device: its documented role name plus the circuit
 // node it is attached to.  Exposed by Device::terminals() for topology
-// queries (the lint layer, graph analyses) without dynamic_cast ladders.
+// queries (the lint layer, graph analyses) without casting to each class.
 struct TerminalRef {
   const char* role;  // "a", "+", "drain", "free", ...
   NodeId node;
+};
+
+// A list of at most N items held by value, so the topology queries below
+// return without touching the heap.  Constructing one with more than N
+// items throws std::length_error.
+template <typename T, std::size_t N>
+class InlineList {
+ public:
+  InlineList() = default;
+  InlineList(std::initializer_list<T> items) : size_(items.size()) {
+    if (items.size() > N) {
+      throw std::length_error("InlineList: more items than its capacity");
+    }
+    std::copy(items.begin(), items.end(), items_.begin());
+  }
+
+  const T* begin() const { return items_.data(); }
+  const T* end() const { return items_.data() + size_; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const T& front() const { return items_[0]; }
+  const T& operator[](std::size_t i) const { return items_[i]; }
+
+ private:
+  std::array<T, N> items_{};
+  std::size_t size_ = 0;
+};
+
+// VCVS and VCCS have four pins; no device conducts along more than one pair.
+using TerminalList = InlineList<TerminalRef, 4>;
+using DcPathList = InlineList<std::pair<NodeId, NodeId>, 1>;
+
+// One value per concrete Device class, returned by Device::kind().
+enum class DeviceKind {
+  kResistor,
+  kCapacitor,
+  kInductor,
+  kVSource,
+  kISource,
+  kDiode,
+  kMTJ,
+  kFinFET,
+  kVCVS,
+  kVCCS,
 };
 
 enum class IntegrationMethod { kBackwardEuler, kTrapezoidal };
@@ -198,15 +246,18 @@ class Device {
 
   const std::string& name() const { return name_; }
 
+  // The concrete class; device_cast<T> below tests it against T::kKind.
+  virtual DeviceKind kind() const = 0;
+
   // ---- topology introspection (consumed by the lint layer) ----
   // Every external pin with its role name.  Devices without terminals (none
   // today) return an empty list and are invisible to topology checks.
-  virtual std::vector<TerminalRef> terminals() const { return {}; }
+  virtual TerminalList terminals() const { return {}; }
 
   // Node pairs between which the device conducts at DC.  Capacitors and
   // current sources return nothing — exactly the edges the no-DC-path lint
   // must ignore, because they contribute no DC conductance to the MNA matrix.
-  virtual std::vector<std::pair<NodeId, NodeId>> dc_paths() const { return {}; }
+  virtual DcPathList dc_paths() const { return {}; }
 
   // The (plus, minus) pair whose voltage difference this device pins, if any
   // (independent V sources, VCVS outputs).  Loops of such branches make the
@@ -249,5 +300,20 @@ class Device {
  private:
   std::string name_;
 };
+
+// `dev` as a T when its kind() is T::kKind, else null (also for a null
+// `dev`).  The concrete device classes are final, so the tag names the
+// dynamic type exactly.
+template <typename T>
+T* device_cast(Device* dev) {
+  return dev != nullptr && dev->kind() == T::kKind ? static_cast<T*>(dev)
+                                                   : nullptr;
+}
+
+template <typename T>
+const T* device_cast(const Device* dev) {
+  return dev != nullptr && dev->kind() == T::kKind ? static_cast<const T*>(dev)
+                                                   : nullptr;
+}
 
 }  // namespace nvsram::spice

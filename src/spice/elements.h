@@ -44,18 +44,21 @@ class SourceSpec {
 };
 
 // ---- passives ---------------------------------------------------------------
-class Resistor : public Device {
+class Resistor final : public Device {
  public:
+  static constexpr DeviceKind kKind = DeviceKind::kResistor;
+  DeviceKind kind() const override { return kKind; }
+
   Resistor(std::string name, NodeId a, NodeId b, double resistance);
 
   void stamp(StampContext& ctx) override;
   void stamp_pattern(PatternContext& ctx) const override;
   // Positive current flows a -> b.
   double current(const SolutionView& s) const override;
-  std::vector<TerminalRef> terminals() const override {
+  TerminalList terminals() const override {
     return {{"a", a_}, {"b", b_}};
   }
-  std::vector<std::pair<NodeId, NodeId>> dc_paths() const override {
+  DcPathList dc_paths() const override {
     return {{a_, b_}};
   }
 
@@ -67,8 +70,11 @@ class Resistor : public Device {
   double resistance_;
 };
 
-class Capacitor : public Device {
+class Capacitor final : public Device {
  public:
+  static constexpr DeviceKind kKind = DeviceKind::kCapacitor;
+  DeviceKind kind() const override { return kKind; }
+
   // `initial_voltage`: optional IC used if the DC solve is skipped.
   Capacitor(std::string name, NodeId a, NodeId b, double capacitance);
 
@@ -78,7 +84,7 @@ class Capacitor : public Device {
   bool accept_step(const SolutionView& s, double time, double dt) override;
   double current(const SolutionView& s) const override;
   // A capacitor is open at DC, so it contributes no dc_paths() edge.
-  std::vector<TerminalRef> terminals() const override {
+  TerminalList terminals() const override {
     return {{"a", a_}, {"b", b_}};
   }
 
@@ -100,8 +106,11 @@ class Capacitor : public Device {
   double ieq_ = 0.0;
 };
 
-class Inductor : public Device {
+class Inductor final : public Device {
  public:
+  static constexpr DeviceKind kKind = DeviceKind::kInductor;
+  DeviceKind kind() const override { return kKind; }
+
   Inductor(std::string name, NodeId a, NodeId b, double inductance);
 
   void reserve(MnaLayout& layout) override;
@@ -111,11 +120,11 @@ class Inductor : public Device {
   bool accept_step(const SolutionView& s, double time, double dt) override;
   // Branch current, positive a -> b.
   double current(const SolutionView& s) const override;
-  std::vector<TerminalRef> terminals() const override {
+  TerminalList terminals() const override {
     return {{"a", a_}, {"b", b_}};
   }
   // DC short: conducts.
-  std::vector<std::pair<NodeId, NodeId>> dc_paths() const override {
+  DcPathList dc_paths() const override {
     return {{a_, b_}};
   }
 
@@ -132,8 +141,11 @@ class Inductor : public Device {
 };
 
 // ---- independent sources ----------------------------------------------------
-class VSource : public Device {
+class VSource final : public Device {
  public:
+  static constexpr DeviceKind kKind = DeviceKind::kVSource;
+  DeviceKind kind() const override { return kKind; }
+
   VSource(std::string name, NodeId plus, NodeId minus, SourceSpec spec);
 
   void reserve(MnaLayout& layout) override;
@@ -143,10 +155,10 @@ class VSource : public Device {
   // has negative branch current.
   double current(const SolutionView& s) const override;
   void breakpoints(double t_stop, std::vector<double>& out) const override;
-  std::vector<TerminalRef> terminals() const override {
+  TerminalList terminals() const override {
     return {{"+", plus_}, {"-", minus_}};
   }
-  std::vector<std::pair<NodeId, NodeId>> dc_paths() const override {
+  DcPathList dc_paths() const override {
     return {{plus_, minus_}};
   }
   std::optional<std::pair<NodeId, NodeId>> voltage_branch() const override {
@@ -166,8 +178,11 @@ class VSource : public Device {
   std::size_t branch_ = MnaLayout::kNoIndex;
 };
 
-class ISource : public Device {
+class ISource final : public Device {
  public:
+  static constexpr DeviceKind kKind = DeviceKind::kISource;
+  DeviceKind kind() const override { return kKind; }
+
   // Current `spec` flows from `from` through the source into `to`.
   ISource(std::string name, NodeId from, NodeId to, SourceSpec spec);
 
@@ -176,7 +191,7 @@ class ISource : public Device {
   double current(const SolutionView&) const override { return last_value_; }
   void breakpoints(double t_stop, std::vector<double>& out) const override;
   // An ideal current source has infinite DC impedance: no dc_paths() edge.
-  std::vector<TerminalRef> terminals() const override {
+  TerminalList terminals() const override {
     return {{"from", from_}, {"to", to_}};
   }
   NodeId node_from() const { return from_; }
@@ -189,8 +204,11 @@ class ISource : public Device {
 };
 
 // ---- diode (exponential junction; exercised by the Newton tests) ------------
-class Diode : public Device {
+class Diode final : public Device {
  public:
+  static constexpr DeviceKind kKind = DeviceKind::kDiode;
+  DeviceKind kind() const override { return kKind; }
+
   Diode(std::string name, NodeId anode, NodeId cathode, double saturation_current = 1e-14,
         double emission = 1.0, double temperature = 300.0);
 
@@ -198,10 +216,10 @@ class Diode : public Device {
   void stamp_pattern(PatternContext& ctx) const override;
   double current(const SolutionView& s) const override;
   double saturation_current() const { return is_; }
-  std::vector<TerminalRef> terminals() const override {
+  TerminalList terminals() const override {
     return {{"anode", anode_}, {"cathode", cathode_}};
   }
-  std::vector<std::pair<NodeId, NodeId>> dc_paths() const override {
+  DcPathList dc_paths() const override {
     return {{anode_, cathode_}};
   }
 

@@ -11,8 +11,11 @@
 
 namespace nvsram::spice {
 
-class FinFETElement : public Device {
+class FinFETElement final : public Device {
  public:
+  static constexpr DeviceKind kKind = DeviceKind::kFinFET;
+  DeviceKind kind() const override { return kKind; }
+
   FinFETElement(std::string name, NodeId drain, NodeId gate, NodeId source,
                 models::FinFETParams params);
 
@@ -21,13 +24,13 @@ class FinFETElement : public Device {
   // Drain current, positive flowing drain -> source (NMOS convention; PMOS
   // conducts with negative values).
   double current(const SolutionView& s) const override;
-  std::vector<TerminalRef> terminals() const override {
+  TerminalList terminals() const override {
     return {{"drain", drain_}, {"gate", gate_}, {"source", source_}};
   }
   // The channel conducts drain <-> source; the gate is insulated (it couples
   // only through the Cgs/Cgd capacitors added by add_finfet), so a gate node
   // needs its own DC path from elsewhere.
-  std::vector<std::pair<NodeId, NodeId>> dc_paths() const override {
+  DcPathList dc_paths() const override {
     return {{drain_, source_}};
   }
 

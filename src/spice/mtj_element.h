@@ -10,8 +10,11 @@
 
 namespace nvsram::spice {
 
-class MTJElement : public Device {
+class MTJElement final : public Device {
  public:
+  static constexpr DeviceKind kKind = DeviceKind::kMTJ;
+  DeviceKind kind() const override { return kKind; }
+
   MTJElement(std::string name, NodeId pinned, NodeId free,
              models::MTJParams params,
              models::MtjState initial = models::MtjState::kParallel);
@@ -20,11 +23,11 @@ class MTJElement : public Device {
   void stamp_pattern(PatternContext& ctx) const override;
   bool accept_step(const SolutionView& s, double time, double dt) override;
   double current(const SolutionView& s) const override;
-  std::vector<TerminalRef> terminals() const override {
+  TerminalList terminals() const override {
     return {{"pinned", pinned_}, {"free", free_}};
   }
   // The junction is resistive in both states: it conducts at DC.
-  std::vector<std::pair<NodeId, NodeId>> dc_paths() const override {
+  DcPathList dc_paths() const override {
     return {{pinned_, free_}};
   }
 

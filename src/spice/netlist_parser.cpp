@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -31,7 +34,7 @@ std::string lower(std::string s) {
 
 // Splits a card line into tokens; parentheses become their own groups, so
 // "PULSE(0 1 1n)" -> "pulse(", "0", "1", "1n", ")".
-std::vector<std::string> tokenize(const std::string& line) {
+std::vector<std::string> tokenize(std::string_view line) {
   std::vector<std::string> out;
   std::string cur;
   auto flush = [&] {
@@ -56,6 +59,40 @@ std::vector<std::string> tokenize(const std::string& line) {
   flush();
   return out;
 }
+
+// True for the decimal forms the grammar documents: an optional sign,
+// digits with at most one '.', and an optional exponent "e[+-]digits".  No
+// "nan", "inf" or hexadecimal, which std::stod would also take.  `t` is
+// lowercase.
+bool is_decimal(const std::string& t) {
+  std::size_t i = 0;
+  auto skip_digits = [&] {
+    const std::size_t from = i;
+    while (i < t.size() && std::isdigit(static_cast<unsigned char>(t[i]))) ++i;
+    return i - from;
+  };
+  if (i < t.size() && (t[i] == '+' || t[i] == '-')) ++i;
+  std::size_t mantissa = skip_digits();
+  if (i < t.size() && t[i] == '.') {
+    ++i;
+    mantissa += skip_digits();
+  }
+  if (mantissa == 0) return false;
+  if (i < t.size() && t[i] == 'e') {
+    ++i;
+    if (i < t.size() && (t[i] == '+' || t[i] == '-')) ++i;
+    if (skip_digits() == 0) return false;
+  }
+  return i == t.size();
+}
+
+// One card, tokenized once.  A .subckt body keeps its cards in this form,
+// and every instance replays them.
+struct Card {
+  std::vector<std::string> tokens;
+  std::string head;  // tokens[0], lowercased
+  int line = 0;
+};
 
 // key=value option; returns nullopt if the token has no '='.
 std::optional<std::pair<std::string, std::string>> split_kv(
@@ -95,12 +132,12 @@ std::optional<double> parse_si_number(const std::string& token) {
       }
     }
   }
+  if (!is_decimal(digits)) return std::nullopt;
   try {
-    std::size_t used = 0;
-    const double v = std::stod(digits, &used);
-    if (used != digits.size()) return std::nullopt;
-    return v * scale;
-  } catch (const std::exception&) {
+    const double v = std::stod(digits) * scale;
+    if (!std::isfinite(v)) return std::nullopt;
+    return v;
+  } catch (const std::out_of_range&) {
     return std::nullopt;
   }
 }
@@ -113,42 +150,60 @@ class ParserImpl {
 
   void feed(const std::string& line_raw, int line_no) {
     line_no_ = line_no;
-    std::string line = line_raw;
     // Strip comments: '*' at start, ';' anywhere.
-    if (!line.empty() && line[0] == '*') return;
-    const auto semi = line.find(';');
-    if (semi != std::string::npos) line = line.substr(0, semi);
-    const auto tokens = tokenize(line);
-    if (tokens.empty()) return;
+    if (!line_raw.empty() && line_raw[0] == '*') return;
+    Card card;
+    card.tokens =
+        tokenize(std::string_view(line_raw).substr(0, line_raw.find(';')));
+    if (card.tokens.empty()) return;
+    card.head = lower(card.tokens[0]);
+    card.line = line_no;
 
-    const std::string head = lower(tokens[0]);
-    if (head == ".end") {
+    if (card.head == ".end") {
       ended_ = true;
       return;
     }
     if (ended_) return;
 
-    // Inside a .subckt definition: record the body verbatim.
+    // Inside a .subckt definition: record the body's cards.
     if (!subckt_stack_.empty()) {
-      if (head == ".ends") {
+      if (card.head == ".ends") {
         SubcktDef def = std::move(subckt_stack_.back());
         subckt_stack_.pop_back();
         diagnose_unused_ports(def);
         subckts_[def.name] = std::move(def);
         return;
       }
-      if (head == ".subckt") {
+      if (card.head == ".subckt") {
         fail(".subckt definitions cannot nest");
       }
-      subckt_stack_.back().body.emplace_back(line, line_no);
+      subckt_stack_.back().body.push_back(std::move(card));
       return;
     }
 
-    if (head == ".subckt") {
-      begin_subckt(tokens);
+    if (card.head == ".subckt") {
+      begin_subckt(card.tokens);
       return;
     }
-    if (head == ".ends") fail(".ends without .subckt");
+    if (card.head == ".ends") fail(".ends without .subckt");
+    dispatch(card);
+  }
+
+  bool saw_any_card() const { return saw_card_; }
+
+ private:
+  struct SubcktDef {
+    std::string name;
+    std::vector<std::string> ports;
+    std::vector<Card> body;
+    int def_line = -1;  // line of the .subckt card
+  };
+
+  // Parses one element or dot card on line_no_: a top-level card, or a
+  // body card an instance replays.
+  void dispatch(const Card& card) {
+    const std::vector<std::string>& tokens = card.tokens;
+    const std::string& head = card.head;
     // Convert stray exceptions (duplicate device names, element constructor
     // validation such as R <= 0) into NetlistErrors so every parse failure
     // carries its source line.
@@ -179,16 +234,6 @@ class ParserImpl {
     }
   }
 
-  bool saw_any_card() const { return saw_card_; }
-
- private:
-  struct SubcktDef {
-    std::string name;
-    std::vector<std::string> ports;
-    std::vector<std::pair<std::string, int>> body;  // (line, line number)
-    int def_line = -1;                              // line of the .subckt card
-  };
-
   // A port never mentioned in the definition body is dead: the instance node
   // wired to it stays unconnected inside the cell.  Recorded as a lint
   // diagnostic (not a parse error) so intentionally partial cells still load.
@@ -198,9 +243,8 @@ class ParserImpl {
   // card-letter convention), so a body's "bl" counts as use of port "BL".
   void diagnose_unused_ports(const SubcktDef& def) {
     std::unordered_set<std::string> used;
-    for (const auto& [body_line, body_no] : def.body) {
-      (void)body_no;
-      for (const auto& token : tokenize(body_line)) used.insert(lower(token));
+    for (const Card& card : def.body) {
+      for (const auto& token : card.tokens) used.insert(lower(token));
     }
     for (const auto& port : def.ports) {
       if (used.count(lower(port))) continue;
@@ -229,18 +273,31 @@ class ParserImpl {
     return *v;
   }
 
+  // An integer field: the number must be whole and fit an int before the
+  // cast, which would otherwise truncate it or be undefined.
+  int integer(const char* field, const std::string& token) {
+    const double v = number(token);
+    if (!(v == std::trunc(v) && v >= std::numeric_limits<int>::min() &&
+          v <= std::numeric_limits<int>::max())) {
+      fail(std::string(field) + " must be an integer that fits an int, got '" +
+           token + "'");
+    }
+    return static_cast<int>(v);
+  }
+
   NodeId node(const std::string& name) {
     const std::string resolved = resolve_node(name);
-    const bool is_new = !out_.circuit().has_node(resolved);
-    const NodeId id = out_.circuit().node(resolved);
-    if (is_new) out_.record_node_line(resolved, line_no_);
+    Circuit& ckt = out_.circuit();
+    const std::size_t known = ckt.node_count();
+    const NodeId id = ckt.node(resolved);
+    if (ckt.node_count() != known) out_.record_node_line(resolved, line_no_);
     return id;
   }
 
-  // Registers the card's global device name -> source line and marks the
-  // netlist as non-empty.  Call after the device was added successfully.
-  void record_device(const std::string& global_name) {
-    out_.record_device_line(global_name, line_no_);
+  // Registers the global name of the device the card just added -> source
+  // line, and marks the netlist as non-empty.
+  void record_device(const Device& dev) {
+    out_.record_device_line(dev.name(), line_no_);
     saw_card_ = true;
   }
 
@@ -266,26 +323,25 @@ class ParserImpl {
 
   void parse_resistor(const std::vector<std::string>& t) {
     need(t, 4, "resistor");
-    out_.circuit().add<Resistor>(devname(t[0]), node(t[1]), node(t[2]),
-                                 number(t[3]));
-    record_device(devname(t[0]));
+    record_device(*out_.circuit().add<Resistor>(devname(t[0]), node(t[1]),
+                                                node(t[2]), number(t[3])));
   }
 
   void parse_capacitor(const std::vector<std::string>& t) {
     need(t, 4, "capacitor");
-    out_.circuit().add<Capacitor>(devname(t[0]), node(t[1]), node(t[2]),
-                                  number(t[3]));
-    record_device(devname(t[0]));
+    record_device(*out_.circuit().add<Capacitor>(devname(t[0]), node(t[1]),
+                                                 node(t[2]), number(t[3])));
   }
 
   void parse_inductor(const std::vector<std::string>& t) {
     need(t, 4, "inductor");
-    out_.circuit().add<Inductor>(devname(t[0]), node(t[1]), node(t[2]),
-                                 number(t[3]));
-    record_device(devname(t[0]));
+    record_device(*out_.circuit().add<Inductor>(devname(t[0]), node(t[1]),
+                                                node(t[2]), number(t[3])));
   }
 
-  SourceSpec parse_spec(const std::vector<std::string>& t, std::size_t i) {
+  // `device` names the source in a PWL diagnostic.
+  SourceSpec parse_spec(const std::vector<std::string>& t, std::size_t i,
+                        const std::string& device) {
     const std::string kind = lower(t[i]);
     if (kind == "dc") {
       if (i + 1 >= t.size()) fail("DC needs a value");
@@ -321,7 +377,7 @@ class ParserImpl {
       for (std::size_t k = 0; k < args.size(); k += 2) {
         pts.emplace_back(args[k], args[k + 1]);
       }
-      sanitize_pwl(pts, devname(t[0]));
+      sanitize_pwl(pts, device);
       try {
         return SourceSpec::pwl(pts);
       } catch (const std::invalid_argument& e) {
@@ -377,9 +433,9 @@ class ParserImpl {
   template <typename SourceT>
   void parse_source(const std::vector<std::string>& t) {
     need(t, 4, "source");
-    out_.circuit().add<SourceT>(devname(t[0]), node(t[1]), node(t[2]),
-                                parse_spec(t, 3));
-    record_device(devname(t[0]));
+    const std::string name = devname(t[0]);
+    record_device(*out_.circuit().add<SourceT>(name, node(t[1]), node(t[2]),
+                                               parse_spec(t, 3, name)));
   }
 
   void parse_diode(const std::vector<std::string>& t) {
@@ -393,8 +449,8 @@ class ParserImpl {
       else if (kv->first == "n") n = number(kv->second);
       else fail("unknown diode option '" + kv->first + "'");
     }
-    out_.circuit().add<Diode>(devname(t[0]), node(t[1]), node(t[2]), is, n);
-    record_device(devname(t[0]));
+    record_device(*out_.circuit().add<Diode>(devname(t[0]), node(t[1]),
+                                             node(t[2]), is, n));
   }
 
   void parse_fet(const std::vector<std::string>& t) {
@@ -412,7 +468,7 @@ class ParserImpl {
       const auto kv = split_kv(t[k]);
       if (!kv) fail("fet options must be key=value");
       if (kv->first == "fins") {
-        params.fin_count = static_cast<int>(number(kv->second));
+        params.fin_count = integer("fins", kv->second);
       } else if (kv->first == "vth") {
         params.vth0 = number(kv->second);
       } else if (kv->first == "l") {
@@ -421,9 +477,8 @@ class ParserImpl {
         fail("unknown fet option '" + kv->first + "'");
       }
     }
-    add_finfet(out_.circuit(), devname(t[0]), node(t[1]), node(t[2]),
-               node(t[3]), params);
-    record_device(devname(t[0]));
+    record_device(*add_finfet(out_.circuit(), devname(t[0]), node(t[1]),
+                              node(t[2]), node(t[3]), params));
   }
 
   void parse_mtj(const std::vector<std::string>& t) {
@@ -449,23 +504,22 @@ class ParserImpl {
       else if (kv->first == "jc") params.jc = number(kv->second);
       else fail("unknown mtj option '" + kv->first + "'");
     }
-    out_.circuit().add<MTJElement>(devname(t[0]), node(t[1]), node(t[2]),
-                                   params, state);
-    record_device(devname(t[0]));
+    record_device(*out_.circuit().add<MTJElement>(devname(t[0]), node(t[1]),
+                                                  node(t[2]), params, state));
   }
 
   void parse_vcvs(const std::vector<std::string>& t) {
     need(t, 6, "vcvs");
-    out_.circuit().add<VCVS>(devname(t[0]), node(t[1]), node(t[2]), node(t[3]),
-                             node(t[4]), number(t[5]));
-    record_device(devname(t[0]));
+    record_device(*out_.circuit().add<VCVS>(devname(t[0]), node(t[1]),
+                                            node(t[2]), node(t[3]), node(t[4]),
+                                            number(t[5])));
   }
 
   void parse_vccs(const std::vector<std::string>& t) {
     need(t, 6, "vccs");
-    out_.circuit().add<VCCS>(devname(t[0]), node(t[1]), node(t[2]), node(t[3]),
-                             node(t[4]), number(t[5]));
-    record_device(devname(t[0]));
+    record_device(*out_.circuit().add<VCCS>(devname(t[0]), node(t[1]),
+                                            node(t[2]), node(t[3]), node(t[4]),
+                                            number(t[5])));
   }
 
   void begin_subckt(const std::vector<std::string>& t) {
@@ -507,8 +561,9 @@ class ParserImpl {
     out_.record_instance(name);
     scopes_.push_back(std::move(scope));
     const int saved_line = line_no_;
-    for (const auto& [body_line, body_no] : def.body) {
-      feed(body_line, body_no);
+    for (const Card& card : def.body) {
+      line_no_ = card.line;
+      dispatch(card);
     }
     line_no_ = saved_line;
     scopes_.pop_back();
@@ -523,7 +578,7 @@ class ParserImpl {
       card.source = t[1];
       card.start = number(t[2]);
       card.stop = number(t[3]);
-      card.points = static_cast<int>(number(t[4]));
+      card.points = integer(".dc points", t[4]);
       if (card.points < 2) fail(".dc needs at least 2 points");
       out_.set_dc_card(card);
     } else if (head == ".tran") {
@@ -539,7 +594,9 @@ class ParserImpl {
       card.source = t[1];
       card.f_start = number(t[2]);
       card.f_stop = number(t[3]);
-      if (t.size() > 4) card.points_per_decade = static_cast<int>(number(t[4]));
+      if (t.size() > 4) {
+        card.points_per_decade = integer(".ac points-per-decade", t[4]);
+      }
       if (card.f_start <= 0.0 || card.f_stop <= card.f_start) {
         fail(".ac needs 0 < f_start < f_stop");
       }
@@ -611,7 +668,7 @@ class ParserImpl {
       }
       case 'p':
       case 'e': {
-        auto* src = dynamic_cast<VSource*>(ckt.find_device(arg));
+        auto* src = device_cast<VSource>(ckt.find_device(arg));
         if (!src) fail("probe of unknown voltage source '" + arg + "'");
         out_.add_probe(kind == 'p'
                            ? Probe::source_power(src, "p(" + arg + ")")
@@ -697,8 +754,8 @@ void ParsedNetlist::add_parse_diagnostic(lint::Diagnostic d) {
 Waveform ParsedNetlist::run_dc_sweep() {
   if (!dc_) throw std::logic_error("netlist has no .dc card");
   ensure_lint_ok();
-  auto* src = dynamic_cast<VSource*>(circuit_.find_device(dc_->source));
-  auto* isrc = dynamic_cast<ISource*>(circuit_.find_device(dc_->source));
+  auto* src = device_cast<VSource>(circuit_.find_device(dc_->source));
+  auto* isrc = device_cast<ISource>(circuit_.find_device(dc_->source));
   if (!src && !isrc) {
     throw std::logic_error(".dc source '" + dc_->source + "' not found");
   }
@@ -708,7 +765,7 @@ Waveform ParsedNetlist::run_dc_sweep() {
       circuit_,
       [this](double v) {
         Device* dev = circuit_.find_device(dc_->source);
-        if (auto* vs = dynamic_cast<VSource*>(dev)) {
+        if (auto* vs = device_cast<VSource>(dev)) {
           vs->set_spec(SourceSpec::dc(v));
         }
       },

@@ -24,7 +24,10 @@
 //   .end
 //
 // Numbers accept engineering suffixes: f p n u m k meg g t (e.g. "4f",
-// "2.2k", "10n", "1meg") on top of ordinary scientific notation.
+// "2.2k", "10n", "1meg") on top of ordinary decimal and scientific
+// notation.  NaN, infinity, hexadecimal and values beyond double range are
+// rejected.  The integer fields (fins=, .dc points, .ac points-per-decade)
+// take whole numbers that fit an int.
 //
 // The parser produces a ParsedNetlist that owns the Circuit and can execute
 // the requested analyses (`run_*`), returning Waveforms.
@@ -207,7 +210,7 @@ class NetlistParser {
 };
 
 // Number with engineering suffix, e.g. "2.2k" -> 2200.  Returns nullopt on
-// malformed input.
+// malformed input and on a value that is not finite.
 std::optional<double> parse_si_number(const std::string& token);
 
 }  // namespace nvsram::spice

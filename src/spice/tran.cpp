@@ -63,7 +63,7 @@ Waveform TranAnalysis::run(const DCSolution* initial) {
   // ---- collect sources for energy accounting, and breakpoints ----
   std::vector<VSource*> sources;
   for (const auto& dev : circuit_.devices()) {
-    if (auto* vs = dynamic_cast<VSource*>(dev.get())) sources.push_back(vs);
+    if (auto* vs = device_cast<VSource>(dev.get())) sources.push_back(vs);
   }
   std::vector<double> bp_raw;
   for (const auto& dev : circuit_.devices()) {

@@ -236,7 +236,7 @@ CellCharacterizer::LeakageSweep CellCharacterizer::leakage_vs_vctrl(
       }
       double total = 0.0;
       for (const auto& dev : tb.circuit().devices()) {
-        if (auto* vs = dynamic_cast<spice::VSource*>(dev.get())) {
+        if (auto* vs = spice::device_cast<spice::VSource>(dev.get())) {
           total += vs->delivered_power(sol->view(), 0.0);
         }
       }

@@ -43,7 +43,8 @@ double read_current(const models::PaperParams& pp, CellKind kind) {
   if (!sol) throw std::runtime_error("read_current: DC failed");
   // Q = 1: the discharge path is BLB -> access -> QB -> driver.  Measure the
   // access transistor current via the bitline source.
-  auto* blb = dynamic_cast<spice::VSource*>(tb.circuit().find_device("Vblb"));
+  auto* blb =
+      spice::device_cast<spice::VSource>(tb.circuit().find_device("Vblb"));
   if (!blb) throw std::logic_error("read_current: no ideal BLB source");
   // Source branch current is + -> - internally; delivering current makes it
   // negative, so the discharge current is its magnitude.

@@ -442,6 +442,60 @@ TEST(ParserLocation, ZeroFinCountRejectedWithLine) {
   }
 }
 
+// A NaN, infinite or hexadecimal value fails as a located "bad number"
+// instead of reaching the transient (or, for hex, a wrong value).
+TEST(ParserLocation, NonDecimalNumbersFailOnTheirLine) {
+  const char* decks[] = {
+      "t\nR1 a 0 1k\nV1 a 0 DC nan\n",
+      "t\nR1 a 0 1k\nC1 a 0 inf\n",
+      "t\nR1 a 0 1k\n.tran nan\n",
+      "t\nV1 a 0 DC 1\nR1 a 0 0x10\n",
+  };
+  NetlistParser p;
+  for (const char* deck : decks) {
+    try {
+      p.parse(deck);
+      ADD_FAILURE() << "expected NetlistError: " << deck;
+    } catch (const spice::NetlistError& e) {
+      EXPECT_EQ(e.line(), 3) << deck;
+      EXPECT_NE(std::string(e.what()).find("bad number"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// fins=, .dc points and .ac points-per-decade take whole numbers that fit
+// an int; a fraction is not truncated and 1e30 is not cast.
+TEST(ParserLocation, IntegerFieldsRejectFractionsAndOverflow) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"t\nVd d 0 DC 0.9\nM1 d d 0 nfin fins=2.7\n", "fins"},
+      {"t\nVd d 0 DC 0.9\nM1 d d 0 nfin fins=1e30\n", "fins"},
+      {"t\nVd d 0 DC 0.9\nM1 d d 0 nfin fins=-3e9\n", "fins"},
+      {"t\nV1 a 0 DC 1\n.dc V1 0 1 10.5\n", ".dc points"},
+      {"t\nV1 a 0 DC 1\n.dc V1 0 1 1e30\n", ".dc points"},
+      {"t\nV1 a 0 DC 1\n.ac V1 1e6 1e9 2.5\n", ".ac points-per-decade"},
+      {"t\nV1 a 0 DC 1\n.ac V1 1e6 1e9 1e30\n", ".ac points-per-decade"},
+  };
+  NetlistParser p;
+  for (const auto& [deck, field] : cases) {
+    try {
+      p.parse(deck);
+      ADD_FAILURE() << "expected NetlistError: " << deck;
+    } catch (const spice::NetlistError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(e.line(), 3) << what;
+      EXPECT_NE(what.find(std::string(field) + " must be an integer"),
+                std::string::npos)
+          << what;
+    }
+  }
+  // Whole numbers in any notation still parse.
+  auto net = p.parse(
+      "t\nVd d 0 DC 0.9\nM1 d d 0 nfin fins=2e0\n.dc Vd 0 1 1e1\n");
+  ASSERT_TRUE(net->dc_card().has_value());
+  EXPECT_EQ(net->dc_card()->points, 10);
+}
+
 TEST(ParserLocation, NegativeMtjTauRejectedWithLine) {
   NetlistParser p;
   try {
@@ -462,13 +516,32 @@ TEST(ParserLocation, SubcktBodyErrorPointsAtBodyLine) {
     p.parse(
         "t\n"
         ".subckt bad a\n"
-        "R1 a 0 -1\n"
+        "R0 a mid 1k ; series\n"
+        "R1 mid 0 -1\n"
         ".ends\n"
         "V1 in 0 DC 1\n"
-        "X1 in bad\n");
+        "X1 in bad\n"
+        "X2 in bad\n");
     FAIL() << "expected NetlistError";
   } catch (const spice::NetlistError& e) {
-    EXPECT_EQ(e.line(), 3);  // the R card inside the body
+    EXPECT_EQ(e.line(), 4);  // the R card inside the body
+  }
+  // The second instance's body error is located on the body line too: a
+  // repeated instance name collides at the body's first device.
+  try {
+    p.parse(
+        "t\n"
+        ".subckt cell a\n"
+        "R1 a mid 1k ; series\n"
+        "R2 mid 0 1k\n"
+        ".ends\n"
+        "V1 in 0 DC 1\n"
+        "X1 in cell\n"
+        "X1 in cell\n");
+    FAIL() << "expected NetlistError";
+  } catch (const spice::NetlistError& e) {
+    EXPECT_EQ(e.line(), 3);
+    EXPECT_NE(std::string(e.what()).find("duplicate"), std::string::npos);
   }
 }
 
@@ -477,11 +550,23 @@ TEST(ParserLocation, DeviceAndNodeLinesRecorded) {
       "title\n"
       "V1 in 0 DC 1\n"
       "R1 in out 1k\n"
-      "R2 out 0 1k\n");
+      "R2 out 0 1k\n"
+      ".subckt div a\n"
+      "R1 a mid 1k ; upper leg\n"
+      "R2 mid 0 1k\n"
+      ".ends\n"
+      "X1 out div\n"
+      "X2 out div\n");
   EXPECT_EQ(net->device_line("V1"), 2);
   EXPECT_EQ(net->device_line("R2"), 4);
   EXPECT_EQ(net->node_line("out"), 3);
   EXPECT_EQ(net->device_line("nope"), -1);
+  // Every instance's devices and internal nodes carry their body lines.
+  EXPECT_EQ(net->device_line("X1.R1"), 6);
+  EXPECT_EQ(net->device_line("X2.R1"), 6);
+  EXPECT_EQ(net->device_line("X2.R2"), 7);
+  EXPECT_EQ(net->node_line("X1.mid"), 6);
+  EXPECT_EQ(net->node_line("X2.mid"), 6);
 }
 
 // ---- regression: every shipped netlist lints clean --------------------------

@@ -37,6 +37,27 @@ TEST(SiNumber, MalformedRejected) {
   EXPECT_FALSE(parse_si_number("abc").has_value());
   EXPECT_FALSE(parse_si_number("1.2.3").has_value());
   EXPECT_FALSE(parse_si_number("1kk").has_value());
+  // Only the documented decimal forms: no NaN, infinity or hexadecimal,
+  // which std::stod would take.
+  for (const char* token : {"nan", "NaN", "-nan", "inf", "-inf", "Infinity",
+                            "0x10", "0X1p3", "0x1f", "1e", "1e+", "e5", ".",
+                            "+", "-.e1", "1 ", " 1"}) {
+    EXPECT_FALSE(parse_si_number(token).has_value()) << token;
+  }
+  // Finite digits whose value is not: out of double range, before or after
+  // the suffix scales it.
+  EXPECT_FALSE(parse_si_number("1e999").has_value());
+  EXPECT_FALSE(parse_si_number("1e300t").has_value());
+  EXPECT_FALSE(parse_si_number("-1e305meg").has_value());
+}
+
+TEST(SiNumber, DecimalFormsAccepted) {
+  EXPECT_DOUBLE_EQ(*parse_si_number("+1"), 1.0);
+  EXPECT_DOUBLE_EQ(*parse_si_number(".5"), 0.5);
+  EXPECT_DOUBLE_EQ(*parse_si_number("5."), 5.0);
+  EXPECT_DOUBLE_EQ(*parse_si_number("-2.5e-3k"), -2.5);
+  EXPECT_DOUBLE_EQ(*parse_si_number("1E+3"), 1e3);
+  EXPECT_DOUBLE_EQ(*parse_si_number("1.meg"), 1e6);
 }
 
 // ---- structural parsing ---------------------------------------------------------

@@ -1,12 +1,21 @@
 // Element-level simulator checks: sources, RC transients against analytic
-// solutions, diode Newton convergence, and energy conservation.
+// solutions, diode Newton convergence, energy conservation, and the device
+// kind tags and inline pin lists the topology queries rely on.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <set>
+#include <stdexcept>
 
+#include "models/finfet.h"
+#include "models/mtj.h"
 #include "spice/circuit.h"
+#include "spice/controlled.h"
 #include "spice/dc.h"
 #include "spice/elements.h"
+#include "spice/fet_element.h"
+#include "spice/mtj_element.h"
 #include "spice/tran.h"
 #include "util/stats.h"
 
@@ -290,6 +299,72 @@ TEST(TranAnalysis, RejectsNonPositiveStop) {
   opt.t_stop = 0.0;
   TranAnalysis tran(ckt, opt, {});
   EXPECT_THROW(tran.run(), std::invalid_argument);
+}
+
+// ---- device kind tags and pin lists -------------------------------------------
+
+// device_cast<T> must agree with dynamic_cast for every class T, through
+// both overloads; a kKind copied from another class would break it.
+template <typename T>
+void expect_cast_matches(spice::Device* dev) {
+  const spice::Device* cdev = dev;
+  EXPECT_EQ(spice::device_cast<T>(dev), dynamic_cast<T*>(dev)) << dev->name();
+  EXPECT_EQ(spice::device_cast<T>(cdev), dynamic_cast<const T*>(cdev))
+      << dev->name();
+}
+
+template <typename... T>
+void expect_casts_match(spice::Device* dev) {
+  (expect_cast_matches<T>(dev), ...);
+}
+
+TEST(DeviceKind, CastMatchesDynamicCast) {
+  Circuit c;
+  const auto a = c.node("a");
+  const auto b = c.node("b");
+  const auto cp = c.node("cp");
+  const auto cn = c.node("cn");
+  c.add<spice::Resistor>("R1", a, b, 1e3);
+  c.add<spice::Capacitor>("C1", a, b, 1e-15);
+  c.add<spice::Inductor>("L1", a, b, 1e-9);
+  c.add<spice::VSource>("V1", a, spice::kGround, SourceSpec::dc(1.0));
+  c.add<spice::ISource>("I1", a, spice::kGround, SourceSpec::dc(1e-6));
+  c.add<spice::Diode>("D1", a, b);
+  c.add<spice::MTJElement>("Y1", a, b, models::paper_mtj());
+  c.add<spice::FinFETElement>("M1", a, b, spice::kGround,
+                              models::ptm20_nmos());
+  c.add<spice::VCVS>("E1", a, b, cp, cn, 2.0);
+  c.add<spice::VCCS>("G1", a, b, cp, cn, 1e-3);
+  ASSERT_EQ(c.devices().size(), 10u);
+
+  std::set<spice::DeviceKind> kinds;
+  for (const auto& dev : c.devices()) {
+    kinds.insert(dev->kind());
+    expect_casts_match<spice::Resistor, spice::Capacitor, spice::Inductor,
+                       spice::VSource, spice::ISource, spice::Diode,
+                       spice::MTJElement, spice::FinFETElement, spice::VCVS,
+                       spice::VCCS>(dev.get());
+  }
+  EXPECT_EQ(kinds.size(), 10u);
+  EXPECT_EQ(spice::device_cast<spice::VSource>(
+                static_cast<spice::Device*>(nullptr)),
+            nullptr);
+  EXPECT_EQ(spice::device_cast<spice::VSource>(
+                static_cast<const spice::Device*>(nullptr)),
+            nullptr);
+}
+
+TEST(DeviceKind, InlineListHoldsItsCapacityAndThrowsPastIt) {
+  const spice::TerminalList pins{{"+", 1}, {"-", 2}, {"c+", 3}, {"c-", 4}};
+  ASSERT_EQ(pins.size(), 4u);
+  EXPECT_EQ(std::distance(pins.begin(), pins.end()), 4);
+  EXPECT_EQ(pins.front().node, 1u);
+  EXPECT_STREQ(pins[3].role, "c-");
+  EXPECT_TRUE(spice::DcPathList{}.empty());
+  EXPECT_THROW((spice::TerminalList{
+                   {"a", 1}, {"b", 2}, {"c", 3}, {"d", 4}, {"e", 5}}),
+               std::length_error);
+  EXPECT_THROW((spice::DcPathList{{1, 2}, {3, 4}}), std::length_error);
 }
 
 }  // namespace

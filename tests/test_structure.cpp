@@ -9,8 +9,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <utility>
 
 #include "linalg/structure.h"
 #include "lint/linter.h"
@@ -104,6 +107,75 @@ TEST(Structure, MinDegreeOrderIsAPermutation) {
   EXPECT_EQ(order.size(), 4u);
   EXPECT_EQ(seen.size(), 4u);
   EXPECT_EQ(*seen.rbegin(), 3u);
+}
+
+// The sort-and-unique from_triplets once was: sort every (row, col) pair,
+// drop repeats, then cut rows.  Returns (row_ptr, col_idx).
+std::pair<std::vector<std::size_t>, std::vector<std::size_t>> sorted_reference(
+    std::size_t n, const std::vector<linalg::Triplet>& triplets) {
+  std::vector<std::pair<std::size_t, std::size_t>> pos;
+  for (const auto& t : triplets) pos.emplace_back(t.row, t.col);
+  std::sort(pos.begin(), pos.end());
+  pos.erase(std::unique(pos.begin(), pos.end()), pos.end());
+  std::vector<std::size_t> row_ptr(n + 1, 0);
+  std::vector<std::size_t> col_idx;
+  std::size_t i = 0;
+  for (std::size_t r = 0; r < n; ++r) {
+    row_ptr[r] = col_idx.size();
+    while (i < pos.size() && pos[i].first == r) {
+      col_idx.push_back(pos[i++].second);
+    }
+  }
+  row_ptr[n] = col_idx.size();
+  return {row_ptr, col_idx};
+}
+
+void expect_matches_reference(std::size_t n,
+                              const std::vector<linalg::Triplet>& triplets) {
+  const auto p = linalg::SparsityPattern::from_triplets(n, triplets);
+  const auto [row_ptr, col_idx] = sorted_reference(n, triplets);
+  EXPECT_EQ(p.dimension(), n);
+  EXPECT_EQ(p.row_ptr(), row_ptr) << "n=" << n << " nnz=" << triplets.size();
+  EXPECT_EQ(p.col_idx(), col_idx) << "n=" << n << " nnz=" << triplets.size();
+}
+
+TEST(Structure, FromTripletsMatchesSortedReference) {
+  expect_matches_reference(0, {});
+  expect_matches_reference(1, {});
+  expect_matches_reference(5, {});
+  expect_matches_reference(1, {{0, 0, 1.0}, {0, 0, 1.0}, {0, 0, 1.0}});
+  // Reversed order, with a repeat and empty rows 1 and 3.
+  expect_matches_reference(
+      5, {{4, 4, 1.0}, {4, 0, 1.0}, {2, 3, 1.0}, {2, 1, 1.0}, {2, 3, 1.0},
+          {0, 4, 1.0}, {0, 2, 1.0}, {0, 0, 1.0}});
+
+  std::mt19937_64 rng(20261017);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 1 + rng() % 40;
+    // Few distinct columns per row and about a third of rows left empty,
+    // so repeats and empty rows are common.
+    const std::size_t nnz = rng() % (4 * n + 1);
+    std::vector<linalg::Triplet> t;
+    for (std::size_t k = 0; k < nnz; ++k) {
+      std::size_t row = rng() % n;
+      if (row % 3 == 1) row = (row + 1) % n;
+      t.push_back({row, rng() % std::min<std::size_t>(n, 6), 1.0});
+      if (rng() % 4 == 0) t.push_back(t.back());
+    }
+    if (trial % 2 == 1) std::reverse(t.begin(), t.end());
+    expect_matches_reference(n, t);
+  }
+
+  using Triplets = std::vector<linalg::Triplet>;
+  EXPECT_THROW(linalg::SparsityPattern::from_triplets(
+                   3, Triplets{{0, 0, 1.0}, {3, 0, 1.0}}),
+               std::out_of_range);
+  EXPECT_THROW(
+      linalg::SparsityPattern::from_triplets(3, Triplets{{2, 3, 1.0}}),
+      std::out_of_range);
+  EXPECT_THROW(
+      linalg::SparsityPattern::from_triplets(0, Triplets{{0, 0, 1.0}}),
+      std::out_of_range);
 }
 
 // ---- analyze_structure fixtures ---------------------------------------------
