@@ -60,10 +60,7 @@
 
 #include "lint/dataflow/check.h"
 #include "lint/linter.h"
-#include "lint/power/check.h"
 #include "lint/temporal/protocol.h"
-#include "lint/temporal/timeline.h"
-#include "lint/temporal/units_check.h"
 #include "spice/netlist_parser.h"
 #include "sram/schedules.h"
 
@@ -388,9 +385,9 @@ FileResult lint_file(const std::string& path,
                             format, sarif, first_file, baseline);
 }
 
-// Builds the scheduled benchmark deck for one architecture and runs the
-// temporal protocol + units + power-intent passes over its exported
-// timeline.  Purely static: nothing is solved.
+// Builds the scheduled benchmark deck for one architecture and runs
+// sram::lint_schedule's passes (protocol, units, parameters, power intent,
+// dataflow) over it.  Purely static: nothing is solved.
 FileResult lint_bench(nvsram::sram::BenchArch arch,
                       const nvsram::lint::LintOptions& options,
                       const std::vector<std::string>& werror_globs, bool quiet,
@@ -403,7 +400,6 @@ FileResult lint_bench(nvsram::sram::BenchArch arch,
   const sram::TestbenchOptions tb_opts;
   const auto tb = sram::build_benchmark_schedule(arch, pp,
                                                  sram::ScheduleParams{}, tb_opts);
-  const lint::temporal::Timeline tl = tb->export_timeline();
 
   auto opt = lint::temporal::TemporalOptions::from_paper(pp);
   switch (arch) {
@@ -423,26 +419,12 @@ FileResult lint_bench(nvsram::sram::BenchArch arch,
   }
 
   lint::LintReport report;
-  auto add = [&](std::vector<lint::Diagnostic> diags) {
-    for (auto& d : diags) {
-      if (!options.enabled(d.rule)) continue;
-      if (d.severity < options.min_severity) continue;
-      report.add(std::move(d));
-    }
-  };
-  add(lint::temporal::check_timeline(tl, opt));
-  add(lint::temporal::check_timeline_units(tl));
-  add(lint::temporal::check_paper_params(pp));
-  // Power-intent pass over the bench circuit: the deck carries a real header
-  // switch, so the schedule's per-domain gating is checked exactly like a
-  // netlist's (word-line-in-off-window, sneak paths, isolation).
-  add(lint::power::check_power(tb->circuit(), tl, nullptr, {}));
-  // Retention dataflow pass: proves the bench schedule never gates off a
-  // generation the MTJs do not hold, never restores stale data, and wastes
-  // no store pulse (the data-* family).
-  add(lint::dataflow::check_dataflow(tl, lint::dataflow::DataflowOptions::
-                                         from_paper(pp),
-                                     &tb->circuit(), nullptr));
+  for (auto& d : sram::lint_schedule(
+           *tb, opt, lint::dataflow::DataflowOptions::from_paper(pp))) {
+    if (!options.enabled(d.rule)) continue;
+    if (d.severity < options.min_severity) continue;
+    report.add(std::move(d));
+  }
 
   return report_diagnostics(path, report, werror_globs, quiet, format, sarif,
                             first_file, baseline);

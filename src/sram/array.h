@@ -19,7 +19,7 @@
 #include "spice/elements.h"
 #include "spice/tran.h"
 #include "sram/cell.h"
-#include "sram/testbench.h"
+#include "sram/script.h"
 
 namespace nvsram::sram {
 
@@ -27,9 +27,6 @@ struct ArrayOptions {
   int rows = 2;
   int cols = 2;
   bool nonvolatile = true;
-  int power_switch_fins_per_cell = 0;  // 0 => PaperParams value
-  double bitline_cap = 4e-15;
-  double slew = 25e-12;
 };
 
 // Handles of a built array.
@@ -48,12 +45,13 @@ struct ArrayHandles {
 };
 
 // Builds the array into `ckt`; one header switch per row sized
-// `fins_per_cell * cols` fins, matching the paper's per-word-line gating.
+// `PaperParams::fins_power_switch * cols` fins, matching the paper's
+// per-word-line gating.
 ArrayHandles build_array(spice::Circuit& ckt, const std::string& prefix,
                          const models::PaperParams& pp, const ArrayOptions& opts);
 
 // Scripted testbench over a small array: per-row drivers, shared bitline
-// drivers; same scheduling idea as CellTestbench but row-addressed.
+// drivers; the same Script as CellTestbench, row-addressed.
 class ArrayTestbench {
  public:
   ArrayTestbench(models::PaperParams pp, ArrayOptions opts);
@@ -74,17 +72,11 @@ class ArrayTestbench {
   void op_shutdown_all(double duration);
   // Row-sequential restore of every row.
   void op_restore_all_rows();
-  double now() const { return t_; }
+  double now() const { return script_.now(); }
 
-  struct Result {
-    spice::Waveform wave;
-    std::vector<PhaseWindow> phases;
-    std::vector<std::string> sources;
-    double energy(double t0, double t1) const;
-    double total_energy() const;
-    const PhaseWindow& phase(const std::string& name, int occurrence = 0) const;
-  };
-  Result run();
+  // Probes Q of every cell ("Q[r][c]") and each row's "VVDD[r]", then each
+  // driver's energy.
+  Script::Result run();
 
   // Cell voltage probe labels used in the waveform: "Q[r][c]".
   static std::string q_label(int r, int c);
@@ -94,13 +86,7 @@ class ArrayTestbench {
   spice::MTJElement* mtj_qb(int r, int c) { return handles_.cells[r][c].mtj_qb; }
 
  private:
-  struct Track {
-    spice::VSource* source = nullptr;
-    std::vector<std::pair<double, double>> points;
-    double value = 0.0;
-  };
-  void set_level(Track& track, double t, double v, double ramp = 0.0);
-  void add_phase(const std::string& name, double t0, double t1);
+  using TrackId = Script::TrackId;
   void store_row(int row);
   void restore_row(int row);
 
@@ -109,13 +95,10 @@ class ArrayTestbench {
   spice::Circuit circuit_;
   ArrayHandles handles_;
 
-  Track vdd_;
-  std::vector<Track> wl_, pg_, sr_, ctrl_;  // per row
-  std::vector<Track> bl_, blb_;             // per column (ideal drivers)
-  std::vector<Track*> all_tracks_;
-
-  double t_ = 0.0;
-  std::vector<PhaseWindow> phases_;
+  Script script_;
+  TrackId vdd_;
+  std::vector<TrackId> wl_, pg_, sr_, ctrl_;  // per row (sr_, ctrl_: NV only)
+  std::vector<TrackId> bl_, blb_;             // per column (ideal drivers)
 };
 
 }  // namespace nvsram::sram

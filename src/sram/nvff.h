@@ -17,7 +17,7 @@
 #include "spice/circuit.h"
 #include "spice/mtj_element.h"
 #include "sram/cell.h"
-#include "sram/testbench.h"
+#include "sram/script.h"
 
 namespace nvsram::sram {
 
@@ -45,7 +45,7 @@ NvffHandles build_nvff(spice::Circuit& ckt, const std::string& prefix,
                        spice::NodeId clk, spice::NodeId vvdd, spice::NodeId sr,
                        spice::NodeId ctrl, bool nonvolatile = true);
 
-// Scripted NV-FF testbench (mirrors CellTestbench).
+// Scripted NV-FF testbench (the same Script as CellTestbench).
 class NvffTestbench {
  public:
   explicit NvffTestbench(models::PaperParams pp, bool nonvolatile = true);
@@ -61,41 +61,22 @@ class NvffTestbench {
   void op_store();
   void op_shutdown(double duration);
   void op_restore();
-  double now() const { return t_; }
+  double now() const { return script_.now(); }
 
-  struct Result {
-    spice::Waveform wave;
-    std::vector<PhaseWindow> phases;
-    std::vector<std::string> sources;
-    double energy(double t0, double t1) const;
-    double energy(const PhaseWindow& ph) const { return energy(ph.t0, ph.t1); }
-    const PhaseWindow& phase(const std::string& name, int occurrence = 0) const;
-  };
-  Result run();
+  // Probes V(Q), V(QB) and V(VVDD), then each driver's energy.
+  Script::Result run();
 
   spice::MTJElement* mtj_q() const { return handles_.mtj_q; }
   spice::MTJElement* mtj_qb() const { return handles_.mtj_qb; }
 
  private:
-  struct Track {
-    spice::VSource* source = nullptr;
-    std::vector<std::pair<double, double>> points;
-    double value = 0.0;
-  };
-  void set_level(Track& track, double t, double v, double ramp = 0.0);
-  void add_phase(const std::string& name, double t0, double t1);
-
   models::PaperParams pp_;
   bool nonvolatile_;
   spice::Circuit circuit_;
   NvffHandles handles_;
-  spice::NodeId n_vdd_, n_pg_;
 
-  Track vdd_, pg_, d_, clk_, sr_, ctrl_;
-  std::vector<Track*> tracks_;
-  double t_ = 0.0;
-  std::vector<PhaseWindow> phases_;
-  double slew_ = 25e-12;
+  Script script_;
+  Script::TrackId vdd_, pg_, d_, clk_, sr_, ctrl_;
 };
 
 // Characterized NV-FF energetics feeding a register-bank BET estimate.

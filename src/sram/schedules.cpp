@@ -1,6 +1,10 @@
 #include "sram/schedules.h"
 
 #include <stdexcept>
+#include <utility>
+
+#include "lint/power/check.h"
+#include "lint/temporal/units_check.h"
 
 namespace nvsram::sram {
 
@@ -79,6 +83,22 @@ std::unique_ptr<CellTestbench> build_benchmark_schedule(
   }
   tb->op_idle(2e-9);
   return tb;
+}
+
+std::vector<lint::Diagnostic> lint_schedule(
+    const CellTestbench& tb, const lint::temporal::TemporalOptions& topt,
+    const lint::dataflow::DataflowOptions& dopt) {
+  const lint::temporal::Timeline tl = tb.export_timeline();
+  std::vector<lint::Diagnostic> out;
+  auto add = [&out](std::vector<lint::Diagnostic> diags) {
+    for (auto& d : diags) out.push_back(std::move(d));
+  };
+  add(lint::temporal::check_timeline(tl, topt));
+  add(lint::temporal::check_timeline_units(tl));
+  add(lint::temporal::check_paper_params(tb.paper()));
+  add(lint::power::check_power(tb.circuit(), tl, nullptr, {}));
+  add(lint::dataflow::check_dataflow(tl, dopt, &tb.circuit(), nullptr));
+  return out;
 }
 
 }  // namespace nvsram::sram

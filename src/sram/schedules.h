@@ -14,7 +14,11 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
+#include "lint/dataflow/check.h"
+#include "lint/diagnostic.h"
+#include "lint/temporal/protocol.h"
 #include "sram/testbench.h"
 
 namespace nvsram::sram {
@@ -30,10 +34,18 @@ struct ScheduleParams {
   double t_sd = 1e-6;    // long shutdown (NVPG/NOF) / long sleep (OSR)
 };
 
-// Returns the testbench by pointer: CellTestbench self-references its tracks
-// and circuit, so it must not move after construction.
+// Returns the scheduled testbench; nothing is solved.
 std::unique_ptr<CellTestbench> build_benchmark_schedule(
     BenchArch arch, const models::PaperParams& pp, const ScheduleParams& sp,
     TestbenchOptions opts = {});
+
+// The static passes over a scheduled testbench's exported timeline, in
+// order: protocol, units, the testbench's PaperParams, power intent (the
+// domain behind the header switch against the schedule's off windows) and
+// retention dataflow.  Nothing is solved.  Callers filter the findings or
+// gate on them: CellCharacterizer throws on errors, nvlint --bench reports.
+std::vector<lint::Diagnostic> lint_schedule(
+    const CellTestbench& tb, const lint::temporal::TemporalOptions& topt,
+    const lint::dataflow::DataflowOptions& dopt);
 
 }  // namespace nvsram::sram

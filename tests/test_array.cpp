@@ -147,6 +147,26 @@ TEST(ArrayIntegration, VolatileArrayWritesAndHolds) {
   EXPECT_GT(res.wave.value_at(ArrayTestbench::q_label(1, 1), t_end), 0.8);
 }
 
+TEST(ArrayIntegration, VolatileArrayRestoresPower) {
+  // A volatile array has no SR or CTRL lines: its restore only powers the
+  // rows back up.
+  ArrayOptions opts;
+  opts.rows = 2;
+  opts.cols = 2;
+  opts.nonvolatile = false;
+  const auto pp = PaperParams::table1();
+  ArrayTestbench tb(pp, opts);
+  tb.op_write_row(0, {true, false});
+  tb.op_shutdown_all(10e-9);
+  tb.op_restore_all_rows();
+  auto res = tb.run();
+  for (int r = 0; r < 2; ++r) {
+    EXPECT_GT(res.wave.value_at("VVDD[" + std::to_string(r) + "]", tb.now()),
+              0.8 * pp.vdd)
+        << "row " << r;
+  }
+}
+
 TEST(ArrayIntegration, LargeArrayExercisesSparseSolver) {
   // A 6x6 NV array exceeds the dense cutoff (~230 unknowns): the Newton
   // loop runs on the Gilbert-Peierls sparse LU.  Keep the script short.

@@ -25,6 +25,8 @@
 
 #include "core/analyzer.h"
 #include "models/paper_params.h"
+#include "sram/array.h"
+#include "sram/nvff.h"
 
 namespace nvsram::core {
 namespace {
@@ -201,6 +203,41 @@ std::map<std::string, double> compute_goldens(const PowerGatingAnalyzer& an) {
   p.rows = 1024;
   g["fig9.bet_nvpg_rows1024"] =
       an.model().break_even_time(Architecture::kNVPG, p).value_or(-1.0);
+
+  // The NV-FF script (sram/nvff.cpp): register-bank energies and times.
+  const auto ff = sram::characterize_nvff(models::PaperParams::table1());
+  g["nvff.e_clock"] = ff.e_clock;
+  g["nvff.e_store"] = ff.e_store;
+  g["nvff.t_store"] = ff.t_store;
+  g["nvff.e_restore"] = ff.e_restore;
+  g["nvff.t_restore"] = ff.t_restore;
+  g["nvff.p_static_hold"] = ff.p_static_hold;
+  g["nvff.p_static_shutdown"] = ff.p_static_shutdown;
+
+  // The array script (sram/array.cpp): every phase of a 2x2 NV round trip.
+  // A repeated phase name gets its occurrence as a suffix (idle, idle_1).
+  sram::ArrayOptions ao;
+  ao.rows = 2;
+  ao.cols = 2;
+  sram::ArrayTestbench tb(models::PaperParams::table1(), ao);
+  tb.op_write_row(0, {true, false});
+  tb.op_write_row(1, {false, true});
+  tb.op_idle(1e-9);
+  tb.op_store_all_rows();
+  tb.op_shutdown_all(3e-6);
+  tb.op_restore_all_rows();
+  tb.op_idle(2e-9);
+  const auto res = tb.run();
+  std::map<std::string, int> seen;
+  for (const auto& ph : res.phases) {
+    std::string key = "array2x2.e_" + ph.name;
+    if (const int n = seen[ph.name]++; n > 0) {
+      key += '_';
+      key += std::to_string(n);
+    }
+    g[key] = res.energy(ph.t0, ph.t1);
+  }
+  g["array2x2.e_total"] = res.total_energy();
   return g;
 }
 
