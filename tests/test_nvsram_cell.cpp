@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "models/paper_params.h"
 #include "sram/characterize.h"
@@ -163,6 +164,15 @@ TEST(NvSramCell, Fig3aVctrlControlsLeakage) {
   // At the optimized bias the NV cell is comparable to the 6T cell (< 10%).
   EXPECT_LT(sweep.points[1].current_nv, 1.10 * sweep.current_6t);
   EXPECT_GT(sweep.points[1].current_nv, sweep.current_6t);  // but not below
+  // A point that does not solve names itself in the error.
+  try {
+    ch.leakage_vs_vctrl({std::nan("")});
+    ADD_FAILURE() << "a NaN CTRL bias solved";
+  } catch (const spice::SolverError& e) {
+    EXPECT_NE(std::string(e.what()).find("vctrl=nan, data=1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(NvSramCell, Fig4VvddDegradesWithFewerFins) {
