@@ -40,10 +40,9 @@ inline std::string ratio_fmt(double r, int digits = 2) {
 
 // Standard runner configuration for a figure sweep: checkpoint next to the
 // CSV, NVSRAM_SWEEP_* environment overrides honored — fault/kill drills,
-// timeout, thread count, and NVSRAM_SWEEP_ISOLATION=process to run the
-// points on supervised worker subprocesses with crash quarantine (see
-// runner/sweep_runner.h and docs/ROBUSTNESS.md).  A malformed override
-// throws RunnerError out of main rather than silently degrading.
+// timeout and thread count (see runner/sweep_runner.h and
+// docs/ROBUSTNESS.md).  A malformed override throws RunnerError out of main
+// rather than silently degrading.
 inline runner::RunnerOptions sweep_options(const std::string& runner_name,
                                            std::string csv_path,
                                            std::vector<std::string> columns) {

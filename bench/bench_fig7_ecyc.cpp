@@ -7,9 +7,8 @@
 // the flattened (series, n_RW) grid: failed points are skipped and recorded
 // in bench_fig7*.csv.failures.csv, interrupted sweeps resume from their
 // checkpoint, and independent points fan out over the worker pool
-// (NVSRAM_SWEEP_THREADS) — or, with NVSRAM_SWEEP_ISOLATION=process, over
-// supervised worker subprocesses that contain even a segfaulting or hung
-// point — with byte-identical output either way (see docs/ROBUSTNESS.md).
+// (NVSRAM_SWEEP_THREADS) with byte-identical output at any pool size (see
+// docs/ROBUSTNESS.md).
 #include <iostream>
 #include <vector>
 

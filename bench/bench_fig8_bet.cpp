@@ -7,9 +7,8 @@
 // a failing point is skipped and recorded in bench_fig8{a,b}.csv.failures.csv
 // while the rest of the figure still comes out, an interrupted run resumes
 // from its checkpoint, and independent points fan out over the worker pool
-// (NVSRAM_SWEEP_THREADS) — or over supervised worker subprocesses with
-// crash quarantine under NVSRAM_SWEEP_ISOLATION=process — with
-// byte-identical output either way (see docs/ROBUSTNESS.md).
+// (NVSRAM_SWEEP_THREADS) with byte-identical output at any pool size (see
+// docs/ROBUSTNESS.md).
 #include <array>
 #include <iostream>
 

@@ -8,9 +8,8 @@
 // sweep ("fig9") over the flattened (tech, store_free, N) grid; failed
 // points land in bench_fig9.csv.failures.csv and interrupted runs resume
 // from the checkpoint (see docs/ROBUSTNESS.md).  Points are independent, so
-// the sweep fans out over the worker pool (NVSRAM_SWEEP_THREADS) — or over
-// supervised worker subprocesses (NVSRAM_SWEEP_ISOLATION=process) — with
-// byte-identical output at any pool size or isolation mode.
+// the sweep fans out over the worker pool (NVSRAM_SWEEP_THREADS) with
+// byte-identical output at any pool size.
 #include <array>
 #include <iostream>
 #include <optional>

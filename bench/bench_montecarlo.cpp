@@ -9,10 +9,7 @@
 // and recorded instead of sinking the whole study, NVSRAM_SWEEP_TIMEOUT
 // puts a wall-clock budget on every point, and the four sigma points fan
 // out over the worker pool (each point builds its own MonteCarlo engines,
-// so the callback is thread-safe; see docs/ROBUSTNESS.md).  Under
-// NVSRAM_SWEEP_ISOLATION=process each point runs in a supervised worker
-// subprocess, so even a crashing or wedged sample batch is contained,
-// quarantined as `poison`, and the rest of the study completes.
+// so the callback is thread-safe; see docs/ROBUSTNESS.md).
 #include <array>
 #include <iostream>
 

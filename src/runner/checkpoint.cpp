@@ -12,8 +12,7 @@ namespace nvsram::runner::checkpoint {
 
 namespace {
 
-constexpr const char* kMagicV1 = "nvsram-sweep-checkpoint v1";
-constexpr const char* kMagicV2 = "nvsram-sweep-checkpoint v2";
+constexpr const char* kMagic = "nvsram-sweep-checkpoint v2";
 
 std::string join_columns(const std::vector<std::string>& columns) {
   std::string out;
@@ -48,9 +47,7 @@ std::map<std::size_t, Rows> load(const std::string& path,
   if (!in) return done;
 
   std::string line;
-  if (!std::getline(in, line)) return done;
-  const bool v2 = line == kMagicV2;
-  if (!v2 && line != kMagicV1) return done;
+  if (!std::getline(in, line) || line != kMagic) return done;
   if (!std::getline(in, line) || line != "name=" + name) return done;
   if (!std::getline(in, line) || line != "columns=" + join_columns(columns)) {
     return done;
@@ -71,24 +68,22 @@ std::map<std::size_t, Rows> load(const std::string& path,
     if (std::sscanf(line.c_str(), "point=%zu rows=%zu", &index, &n_rows) != 2) {
       return rewind("malformed record header '" + line + "'");
     }
+    // n_rows is not covered by any CRC, so it only bounds the loop; a
+    // garbled count fails on the rows it claims, never on an allocation.
     Rows rows;
-    rows.reserve(n_rows);
     for (std::size_t r = 0; r < n_rows; ++r) {
       if (!std::getline(in, line)) {
         return rewind("truncated mid-record at point " + std::to_string(index));
       }
-      std::string values = line;
-      if (v2) {
-        const std::size_t star = line.rfind(" *");
-        unsigned long crc = 0;
-        if (star == std::string::npos ||
-            std::sscanf(line.c_str() + star + 2, "%lx", &crc) != 1) {
-          return rewind("missing row CRC at point " + std::to_string(index));
-        }
-        values = line.substr(0, star);
-        if (static_cast<std::uint32_t>(crc) != util::crc32(values)) {
-          return rewind("row CRC mismatch at point " + std::to_string(index));
-        }
+      const std::size_t star = line.rfind(" *");
+      unsigned long crc = 0;
+      if (star == std::string::npos ||
+          std::sscanf(line.c_str() + star + 2, "%lx", &crc) != 1) {
+        return rewind("missing row CRC at point " + std::to_string(index));
+      }
+      const std::string values = line.substr(0, star);
+      if (static_cast<std::uint32_t>(crc) != util::crc32(values)) {
+        return rewind("row CRC mismatch at point " + std::to_string(index));
       }
       std::istringstream is(values);
       std::vector<double> row;
@@ -113,7 +108,7 @@ void store(const std::string& path, const std::string& name,
     if (!out) {
       throw std::runtime_error("checkpoint: cannot write " + tmp);
     }
-    out << kMagicV2 << '\n'
+    out << kMagic << '\n'
         << "name=" << name << '\n'
         << "columns=" << join_columns(columns) << '\n';
     char crc_buf[16];

@@ -62,13 +62,12 @@ bool Committer::commit(std::size_t index, PointResult res) {
     ++summary_.completed;
     done_.emplace(index, summary_.rows[index]);
     if (options_.checkpoint) {
-      checkpoint::store(options_.checkpoint_path, name_, options_.csv_columns,
-                        done_);
+      checkpoint::store(options_.checkpoint_path(), name_,
+                        options_.csv_columns, done_);
     }
   } else {
     ++summary_.failed;
     if (outcome.status == PointStatus::kTimeout) ++summary_.timeouts;
-    if (outcome.status == PointStatus::kPoisoned) ++summary_.poisoned;
     util::log_warn() << "sweep " << name_ << ": point " << index << " "
                      << to_string(outcome.status) << " after "
                      << outcome.attempts << " attempt(s): " << outcome.error;
@@ -121,7 +120,7 @@ void Committer::finalize() {
 
   csv_.flush();
   if (options_.checkpoint && summary_.failed == 0) {
-    checkpoint::remove(options_.checkpoint_path);
+    checkpoint::remove(options_.checkpoint_path());
   }
 }
 

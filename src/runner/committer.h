@@ -1,9 +1,8 @@
 // The sweep's single committer: the one place where computed points become
 // CSV rows, checkpoint records, and manifest lines, strictly in point
-// order.  Both execution backends — the in-process thread pool
-// (sweep_runner.cpp) and the subprocess supervisor (supervisor.cpp) — feed
+// order.  The serial loop and the worker pool (sweep_runner.cpp) both feed
 // this same object, which is what makes their outputs byte-identical by
-// construction at any worker count.
+// construction at any pool size.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +26,6 @@ class Committer {
   bool is_resumed(std::size_t index) const {
     return done_.find(index) != done_.end();
   }
-  std::size_t resumed_count() const { return done_.size(); }
 
   // Commits one freshly computed point.  Must be called strictly in point
   // order from a single thread.  Returns false to stop the sweep (harness

@@ -10,7 +10,6 @@
 #include "spice/diagnostics.h"
 #include "sram/characterize_cache.h"
 #include "sram/schedules.h"
-#include "util/breadcrumb.h"
 #include "util/units.h"
 #include "util/watchdog.h"
 
@@ -78,12 +77,7 @@ CellEnergetics CellCharacterizer::characterize(CellKind kind) const {
   // analysis below is handed whatever budget remains, so a stuck solve in
   // any step throws util::WatchdogError instead of outliving the phase.
   const util::Deadline phase(max_wall_seconds_);
-  // Each step names itself in the crash breadcrumb, so a sweep worker that
-  // dies mid-characterization tells its supervisor exactly which phase
-  // (op script / sleep / static powers) took it down — a no-op outside
-  // process-isolated sweeps (see util/breadcrumb.h).
   auto remaining = [&phase](const char* step) {
-    util::breadcrumb::set_phase(step);
     phase.check(step);
     return phase.remaining_seconds();
   };
