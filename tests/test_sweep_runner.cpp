@@ -175,27 +175,6 @@ TEST(SweepRunner, StaleCheckpointIsIgnored) {
   auto opts2 = base_options("stale");
   const auto s = SweepRunner("other-name", opts2).run(4, square_point);
   EXPECT_EQ(s.resumed, 0u);
-  const std::string fresh_csv = slurp(s.csv_path);
-
-  // A v1 file (rows without CRCs) is stale as well: its sweep recomputes
-  // every point to the same CSV.
-  {
-    std::ofstream out(ckpt, std::ios::trunc);
-    out << "nvsram-sweep-checkpoint v1\n"
-        << "name=stale\n"
-        << "columns=x,y\n"
-        << "point=0 rows=1\n"
-        << "0 0\n"
-        << "point=2 rows=1\n"
-        << "2 4\n"
-        << "end\n";
-  }
-  EXPECT_TRUE(checkpoint::load(ckpt, "stale", {"x", "y"}, 4).empty());
-  const auto v1 =
-      SweepRunner("stale", base_options("stale")).run(4, square_point);
-  EXPECT_TRUE(v1.all_ok());
-  EXPECT_EQ(v1.resumed, 0u);
-  EXPECT_EQ(slurp(v1.csv_path), fresh_csv);
 }
 
 TEST(SweepRunner, CheckpointingCanBeDisabled) {
@@ -212,12 +191,6 @@ TEST(SweepRunner, CheckpointingCanBeDisabled) {
 }
 
 TEST(SweepRunner, EnvDrillsAreScopedByRunnerName) {
-  // An unscoped K applies to every runner.
-  ::setenv("NVSRAM_SWEEP_FAULT", "4", 1);
-  RunnerOptions plain;
-  plain.apply_env("x");
-  EXPECT_EQ(plain.fault_point, 4);
-
   ::setenv("NVSRAM_SWEEP_FAULT", "envtest:1", 1);
   ::setenv("NVSRAM_SWEEP_RETRIES", "1", 1);
   auto opts = base_options("env");
@@ -313,7 +286,55 @@ TEST(SweepEnv, MalformedValuesThrowNamingTheVariable) {
   check_throws("NVSRAM_SWEEP_KILL", "envstrict:last", "expected an integer");
 }
 
+TEST(SweepEnv, FaultKindVocabularyParses) {
+  // The throw fault is the only kind: its spec is K or name:K.
+  ::setenv("NVSRAM_SWEEP_FAULT", "4", 1);
+  RunnerOptions plain;
+  plain.apply_env("anyrunner");  // unscoped: applies to every runner
+  EXPECT_EQ(plain.fault_point, 4);
+
+  ::setenv("NVSRAM_SWEEP_FAULT", "scoped:2", 1);
+  RunnerOptions scoped;
+  scoped.apply_env("scoped");
+  EXPECT_EQ(scoped.fault_point, 2);
+  RunnerOptions other;
+  other.apply_env("otherrunner");  // scoped away: untouched
+  EXPECT_EQ(other.fault_point, -1);
+
+  // A kind prefix, even the throw fault's own name, is malformed.
+  ::setenv("NVSRAM_SWEEP_FAULT", "throw@4", 1);
+  RunnerOptions kind;
+  EXPECT_THROW(kind.apply_env("x"), RunnerError);
+  ::unsetenv("NVSRAM_SWEEP_FAULT");
+}
+
 // ---- checkpoint CRC ----
+
+TEST(SweepCheckpoint, V1FilesReadAsStale) {
+  // Only v2 (rows with CRCs) is read: a v1 file is stale, and its sweep
+  // recomputes every point to the same CSV as a clean run.
+  const auto s_ref =
+      SweepRunner("v1stale", base_options("v1stale_ref")).run(4, square_point);
+  const auto opts = base_options("v1stale");
+  {
+    std::ofstream out(opts.checkpoint_path(), std::ios::trunc);
+    out << "nvsram-sweep-checkpoint v1\n"
+        << "name=v1stale\n"
+        << "columns=x,y\n"
+        << "point=0 rows=1\n"
+        << "0 0\n"
+        << "point=2 rows=1\n"
+        << "2 4\n"
+        << "end\n";
+  }
+  EXPECT_TRUE(
+      checkpoint::load(opts.checkpoint_path(), "v1stale", {"x", "y"}, 4)
+          .empty());
+  const auto s = SweepRunner("v1stale", opts).run(4, square_point);
+  EXPECT_TRUE(s.all_ok());
+  EXPECT_EQ(s.resumed, 0u);
+  EXPECT_EQ(slurp(s.csv_path), slurp(s_ref.csv_path));
+}
 
 TEST(SweepCheckpoint, CorruptTailRewindsToValidPrefix) {
   // Write a real v2 checkpoint with 3 points, then corrupt point 1's row.
