@@ -502,9 +502,9 @@ class Linter {
   }
 
   // ---- probe-unresolved --------------------------------------------------
+  // A device probe belongs to this circuit when its device is the one the
+  // circuit holds under that name (device names are unique).
   void check_probes() {
-    std::unordered_set<const Device*> owned;
-    for (const auto& dev : circuit_.devices()) owned.insert(dev.get());
     for (const auto& probe : netlist_->probes()) {
       if (probe.kind == spice::Probe::Kind::kNodeVoltage) {
         if (probe.node >= circuit_.node_count()) {
@@ -513,7 +513,8 @@ class Linter {
                    "' references a node outside this circuit",
                "", "", -1);
         }
-      } else if (probe.device == nullptr || !owned.count(probe.device)) {
+      } else if (probe.device == nullptr ||
+                 circuit_.find_device(probe.device->name()) != probe.device) {
         emit(rules::kProbeUnresolved,
              "probe '" + probe.label +
                  "' references a device that is not part of this circuit",

@@ -1,29 +1,44 @@
 #include "spice/circuit.h"
 
+#include <functional>
+#include <stdexcept>
+
 namespace nvsram::spice {
 
-Circuit::Circuit() {
-  node_names_.push_back("0");
-  node_ids_.emplace("0", kGround);
-  node_ids_.emplace("gnd", kGround);
+namespace {
+
+constexpr std::size_t kInitialSlots = 16;
+
+bool is_ground_alias(std::string_view name) { return name == "gnd"; }
+
+}  // namespace
+
+Circuit::Circuit() : index_(kInitialSlots, kEmpty) {
+  node("0");  // id kGround
 }
 
 NodeId Circuit::node(const std::string& name) {
-  const auto [it, fresh] = node_ids_.try_emplace(name, node_names_.size());
-  if (fresh) node_names_.push_back(name);
-  return it->second;
+  if (is_ground_alias(name)) return kGround;
+  reserve_entry();
+  const std::size_t s = slot(name, kNodeTag);
+  if (index_[s] == kEmpty) {
+    node_names_.push_back(name);
+    index_[s] = static_cast<std::uint32_t>(node_names_.size() - 1);
+  }
+  return index_[s];
 }
 
 NodeId Circuit::find_node(const std::string& name) const {
-  const auto it = node_ids_.find(name);
-  if (it == node_ids_.end()) {
+  if (is_ground_alias(name)) return kGround;
+  const std::uint32_t entry = index_[slot(name, kNodeTag)];
+  if (entry == kEmpty) {
     throw std::out_of_range("Circuit: unknown node " + name);
   }
-  return it->second;
+  return entry;
 }
 
 bool Circuit::has_node(const std::string& name) const {
-  return node_ids_.count(name) != 0;
+  return is_ground_alias(name) || index_[slot(name, kNodeTag)] != kEmpty;
 }
 
 const std::string& Circuit::node_name(NodeId id) const {
@@ -34,9 +49,15 @@ const std::string& Circuit::node_name(NodeId id) const {
 }
 
 Device* Circuit::find_device(const std::string& name) const {
-  const auto it = device_index_.find(name);
-  if (it == device_index_.end()) return nullptr;
-  return devices_[it->second].get();
+  const auto index = device_index(name);
+  return index ? devices_[*index].get() : nullptr;
+}
+
+std::optional<std::size_t> Circuit::device_index(
+    const std::string& name) const {
+  const std::uint32_t entry = index_[slot(name, kDeviceTag)];
+  if (entry == kEmpty) return std::nullopt;
+  return entry & ~kDeviceTag;
 }
 
 MnaLayout Circuit::build_layout() const {
@@ -45,6 +66,63 @@ MnaLayout Circuit::build_layout() const {
     dev->reserve(layout);
   }
   return layout;
+}
+
+// The table grows before the duplicate check, so a rejected device leaves
+// the same entries behind, and the entry is written only once the device is
+// in devices_.
+void Circuit::adopt(std::unique_ptr<Device> dev) {
+  reserve_entry();
+  const std::size_t s = slot(dev->name(), kDeviceTag);
+  if (index_[s] != kEmpty) {
+    throw std::invalid_argument("Circuit: duplicate device name " +
+                                dev->name());
+  }
+  devices_.push_back(std::move(dev));
+  index_[s] = kDeviceTag | static_cast<std::uint32_t>(devices_.size() - 1);
+}
+
+std::size_t Circuit::slot(std::string_view name, std::uint32_t tag) const {
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t s = std::hash<std::string_view>{}(name) & mask;;
+       s = (s + 1) & mask) {
+    const std::uint32_t entry = index_[s];
+    if (entry == kEmpty ||
+        ((entry & kDeviceTag) == tag && key(entry) == name)) {
+      return s;
+    }
+  }
+}
+
+// Every id is below the entry count, so capping the count keeps node ids
+// clear of kDeviceTag and device entries clear of kEmpty.
+void Circuit::reserve_entry() {
+  const std::size_t entries = node_names_.size() + devices_.size();
+  if (entries >= kDeviceTag - 1) {
+    throw std::length_error("Circuit: too many nodes and devices");
+  }
+  if (2 * (entries + 1) <= index_.size()) return;
+  // Re-inserted in id order, so the keys are read in the order they sit in
+  // memory rather than in the old table's hash order.
+  std::vector<std::uint32_t> grown(2 * index_.size(), kEmpty);
+  const std::size_t mask = grown.size() - 1;
+  auto place = [&](std::uint32_t entry) {
+    std::size_t s = std::hash<std::string_view>{}(key(entry)) & mask;
+    while (grown[s] != kEmpty) s = (s + 1) & mask;
+    grown[s] = entry;
+  };
+  for (std::size_t id = 0; id < node_names_.size(); ++id) {
+    place(static_cast<std::uint32_t>(id));
+  }
+  for (std::size_t id = 0; id < devices_.size(); ++id) {
+    place(kDeviceTag | static_cast<std::uint32_t>(id));
+  }
+  index_.swap(grown);
+}
+
+std::string_view Circuit::key(std::uint32_t entry) const {
+  return (entry & kDeviceTag) != 0 ? devices_[entry & ~kDeviceTag]->name()
+                                   : node_names_[entry];
 }
 
 }  // namespace nvsram::spice

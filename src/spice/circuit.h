@@ -5,12 +5,11 @@
 // owned by the circuit.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -33,26 +32,19 @@ class Circuit {
   std::size_t node_count() const { return node_names_.size(); }
 
   // Constructs a device in place; returns a non-owning pointer for probing.
+  // Throws std::invalid_argument on a duplicate name, leaving the circuit
+  // as it was.
   template <typename T, typename... Args>
   T* add(Args&&... args) {
     auto dev = std::make_unique<T>(std::forward<Args>(args)...);
     T* raw = dev.get();
-    const auto [slot, fresh] =
-        device_index_.try_emplace(raw->name(), devices_.size());
-    if (!fresh) {
-      throw std::invalid_argument("Circuit: duplicate device name " +
-                                  raw->name());
-    }
-    try {
-      devices_.push_back(std::move(dev));
-    } catch (...) {
-      device_index_.erase(slot);  // its key views the name `dev` frees
-      throw;
-    }
+    adopt(std::move(dev));
     return raw;
   }
 
   Device* find_device(const std::string& name) const;
+  // Position of the device called `name` in devices(); nullopt if none.
+  std::optional<std::size_t> device_index(const std::string& name) const;
 
   const std::vector<std::unique_ptr<Device>>& devices() const { return devices_; }
 
@@ -67,12 +59,26 @@ class Circuit {
   FaultPlan* fault_plan() { return fault_plan_ ? &*fault_plan_ : nullptr; }
 
  private:
+  // One index finds nodes and devices by name: an open-addressing table
+  // (linear probing, power-of-two capacity, at most half full) of 32-bit
+  // entries, a node id or kDeviceTag | device position.  Keys are read back
+  // from node_names_ and devices_, never stored: a view into node_names_
+  // would dangle once the vector reallocates and moves short (SSO) names.
+  static constexpr std::uint32_t kNodeTag = 0;
+  static constexpr std::uint32_t kDeviceTag = 0x80000000u;
+  static constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
+
+  void adopt(std::unique_ptr<Device> dev);
+  // Slot holding the entry named `name` with tag `tag`, or the empty slot
+  // where it would go.
+  std::size_t slot(std::string_view name, std::uint32_t tag) const;
+  // Grows the table, if need be, so one more entry keeps it half empty.
+  void reserve_entry();
+  std::string_view key(std::uint32_t entry) const;
+
   std::vector<std::string> node_names_;
-  std::unordered_map<std::string, NodeId> node_ids_;
   std::vector<std::unique_ptr<Device>> devices_;
-  // Keyed by views of the devices' own names: each device lives as long as
-  // its unique_ptr in devices_, and none is ever removed.
-  std::unordered_map<std::string_view, std::size_t> device_index_;
+  std::vector<std::uint32_t> index_;
   std::optional<FaultPlan> fault_plan_;
 };
 

@@ -210,7 +210,12 @@ class ParserImpl {
     try {
       if (head[0] == '.') {
         parse_dot_card(head, tokens);
+      } else if (head[0] == 'x') {
+        parse_instance(tokens);
       } else {
+        // An element card adds its device, then any companions (a FET's
+        // capacitors), so its line belongs to the first position it filled.
+        const std::size_t first = out_.circuit().devices().size();
         switch (head[0]) {
           case 'r': parse_resistor(tokens); break;
           case 'c': parse_capacitor(tokens); break;
@@ -222,10 +227,11 @@ class ParserImpl {
           case 'y': parse_mtj(tokens); break;
           case 'e': parse_vcvs(tokens); break;
           case 'g': parse_vccs(tokens); break;
-          case 'x': parse_instance(tokens); break;
           default:
             throw NetlistError(line_no_, "unknown card '" + tokens[0] + "'");
         }
+        out_.record_device_line(first, line_no_);
+        saw_card_ = true;
       }
     } catch (const NetlistError&) {
       throw;  // already located (possibly on a subckt body line)
@@ -286,19 +292,11 @@ class ParserImpl {
   }
 
   NodeId node(const std::string& name) {
-    const std::string resolved = resolve_node(name);
     Circuit& ckt = out_.circuit();
     const std::size_t known = ckt.node_count();
-    const NodeId id = ckt.node(resolved);
-    if (ckt.node_count() != known) out_.record_node_line(resolved, line_no_);
+    const NodeId id = ckt.node(resolve_node(name));
+    if (ckt.node_count() != known) out_.record_node_line(id, line_no_);
     return id;
-  }
-
-  // Registers the global name of the device the card just added -> source
-  // line, and marks the netlist as non-empty.
-  void record_device(const Device& dev) {
-    out_.record_device_line(dev.name(), line_no_);
-    saw_card_ = true;
   }
 
   // Scope prefixes are fully qualified at instantiation time, and port maps
@@ -323,20 +321,20 @@ class ParserImpl {
 
   void parse_resistor(const std::vector<std::string>& t) {
     need(t, 4, "resistor");
-    record_device(*out_.circuit().add<Resistor>(devname(t[0]), node(t[1]),
-                                                node(t[2]), number(t[3])));
+    out_.circuit().add<Resistor>(devname(t[0]), node(t[1]), node(t[2]),
+                                 number(t[3]));
   }
 
   void parse_capacitor(const std::vector<std::string>& t) {
     need(t, 4, "capacitor");
-    record_device(*out_.circuit().add<Capacitor>(devname(t[0]), node(t[1]),
-                                                 node(t[2]), number(t[3])));
+    out_.circuit().add<Capacitor>(devname(t[0]), node(t[1]), node(t[2]),
+                                  number(t[3]));
   }
 
   void parse_inductor(const std::vector<std::string>& t) {
     need(t, 4, "inductor");
-    record_device(*out_.circuit().add<Inductor>(devname(t[0]), node(t[1]),
-                                                node(t[2]), number(t[3])));
+    out_.circuit().add<Inductor>(devname(t[0]), node(t[1]), node(t[2]),
+                                 number(t[3]));
   }
 
   // `device` names the source in a PWL diagnostic.
@@ -434,8 +432,8 @@ class ParserImpl {
   void parse_source(const std::vector<std::string>& t) {
     need(t, 4, "source");
     const std::string name = devname(t[0]);
-    record_device(*out_.circuit().add<SourceT>(name, node(t[1]), node(t[2]),
-                                               parse_spec(t, 3, name)));
+    out_.circuit().add<SourceT>(name, node(t[1]), node(t[2]),
+                                parse_spec(t, 3, name));
   }
 
   void parse_diode(const std::vector<std::string>& t) {
@@ -449,8 +447,7 @@ class ParserImpl {
       else if (kv->first == "n") n = number(kv->second);
       else fail("unknown diode option '" + kv->first + "'");
     }
-    record_device(*out_.circuit().add<Diode>(devname(t[0]), node(t[1]),
-                                             node(t[2]), is, n));
+    out_.circuit().add<Diode>(devname(t[0]), node(t[1]), node(t[2]), is, n);
   }
 
   void parse_fet(const std::vector<std::string>& t) {
@@ -477,8 +474,8 @@ class ParserImpl {
         fail("unknown fet option '" + kv->first + "'");
       }
     }
-    record_device(*add_finfet(out_.circuit(), devname(t[0]), node(t[1]),
-                              node(t[2]), node(t[3]), params));
+    add_finfet(out_.circuit(), devname(t[0]), node(t[1]), node(t[2]),
+               node(t[3]), params);
   }
 
   void parse_mtj(const std::vector<std::string>& t) {
@@ -504,22 +501,20 @@ class ParserImpl {
       else if (kv->first == "jc") params.jc = number(kv->second);
       else fail("unknown mtj option '" + kv->first + "'");
     }
-    record_device(*out_.circuit().add<MTJElement>(devname(t[0]), node(t[1]),
-                                                  node(t[2]), params, state));
+    out_.circuit().add<MTJElement>(devname(t[0]), node(t[1]), node(t[2]),
+                                   params, state);
   }
 
   void parse_vcvs(const std::vector<std::string>& t) {
     need(t, 6, "vcvs");
-    record_device(*out_.circuit().add<VCVS>(devname(t[0]), node(t[1]),
-                                            node(t[2]), node(t[3]), node(t[4]),
-                                            number(t[5])));
+    out_.circuit().add<VCVS>(devname(t[0]), node(t[1]), node(t[2]),
+                             node(t[3]), node(t[4]), number(t[5]));
   }
 
   void parse_vccs(const std::vector<std::string>& t) {
     need(t, 6, "vccs");
-    record_device(*out_.circuit().add<VCCS>(devname(t[0]), node(t[1]),
-                                            node(t[2]), node(t[3]), node(t[4]),
-                                            number(t[5])));
+    out_.circuit().add<VCCS>(devname(t[0]), node(t[1]), node(t[2]),
+                             node(t[3]), node(t[4]), number(t[5]));
   }
 
   void begin_subckt(const std::vector<std::string>& t) {
@@ -688,6 +683,15 @@ class ParserImpl {
   std::unordered_map<std::string, SubcktDef> subckts_;
 };
 
+void record_line(std::vector<int>& lines, std::size_t at, int line) {
+  if (at >= lines.size()) lines.resize(at + 1, -1);
+  if (lines[at] < 0) lines[at] = line;
+}
+
+int line_at(const std::vector<int>& lines, std::size_t at) {
+  return at < lines.size() ? lines[at] : -1;
+}
+
 }  // namespace
 
 lint::LintReport ParsedNetlist::lint() const { return lint(lint_options_); }
@@ -702,22 +706,22 @@ void ParsedNetlist::ensure_lint_ok() {
   if (report.has_errors()) throw lint::LintError(std::move(report));
 }
 
-void ParsedNetlist::record_device_line(const std::string& name, int line) {
-  device_lines_.emplace(name, line);
+void ParsedNetlist::record_device_line(std::size_t index, int line) {
+  record_line(device_lines_, index, line);
 }
 
-void ParsedNetlist::record_node_line(const std::string& name, int line) {
-  node_lines_.emplace(name, line);
+void ParsedNetlist::record_node_line(NodeId node, int line) {
+  record_line(node_lines_, node, line);
 }
 
 int ParsedNetlist::device_line(const std::string& name) const {
-  const auto it = device_lines_.find(name);
-  return it == device_lines_.end() ? -1 : it->second;
+  const auto index = circuit_.device_index(name);
+  return index ? line_at(device_lines_, *index) : -1;
 }
 
 int ParsedNetlist::node_line(const std::string& name) const {
-  const auto it = node_lines_.find(name);
-  return it == node_lines_.end() ? -1 : it->second;
+  if (!circuit_.has_node(name)) return -1;
+  return line_at(node_lines_, circuit_.find_node(name));
 }
 
 std::string ParsedNetlist::instance_path_of(const std::string& name) const {

@@ -115,8 +115,10 @@ class ParsedNetlist {
   lint::LintOptions& lint_options() { return lint_options_; }
 
   // ---- source-location bookkeeping (filled by the parser) ----
-  void record_device_line(const std::string& name, int line);
-  void record_node_line(const std::string& name, int line);
+  // Records the line of the device at `index` in circuit().devices(), or of
+  // node `node`; the first record of each wins.
+  void record_device_line(std::size_t index, int line);
+  void record_node_line(NodeId node, int line);
   // 1-based netlist line a device/node was introduced on; -1 if unknown.
   int device_line(const std::string& name) const;
   int node_line(const std::string& name) const;
@@ -190,8 +192,8 @@ class ParsedNetlist {
   std::optional<DcSweepCard> dc_;
   std::optional<TranCard> tran_;
   std::optional<AcCard> ac_;
-  std::unordered_map<std::string, int> device_lines_;
-  std::unordered_map<std::string, int> node_lines_;
+  std::vector<int> device_lines_;  // by device position; -1 unrecorded
+  std::vector<int> node_lines_;    // by NodeId; -1 unrecorded
   std::unordered_set<std::string> instance_prefixes_;  // "X3.", "X3.X17."
   std::unordered_map<std::string, std::string> role_annotations_;
   std::vector<lint::power::DomainAnnotation> domain_annotations_;

@@ -234,9 +234,14 @@ TEST(Lint, ProbeOfForeignDeviceFlagged) {
   auto* foreign =
       other.add<spice::Resistor>("Rx", other.node("x"), spice::kGround, 1e3);
   net->add_probe(spice::Probe::device_current(foreign, "i(Rx)"));
+  // A foreign device is foreign even when it shares a name with one here.
+  auto* namesake =
+      other.add<spice::Resistor>("R1", other.node("x"), spice::kGround, 1e3);
+  net->add_probe(spice::Probe::device_current(namesake, "i(R1)"));
   const auto diags = net->lint().by_rule(lint::rules::kProbeUnresolved);
-  ASSERT_EQ(diags.size(), 1u);
+  ASSERT_EQ(diags.size(), 2u);
   EXPECT_EQ(diags[0].severity, Severity::kError);
+  EXPECT_NE(diags[1].message.find("i(R1)"), std::string::npos);
 }
 
 // ---- subckt-unused-port -----------------------------------------------------
@@ -556,11 +561,18 @@ TEST(ParserLocation, DeviceAndNodeLinesRecorded) {
       "R2 mid 0 1k\n"
       ".ends\n"
       "X1 out div\n"
-      "X2 out div\n");
+      "X2 out div\n"
+      "M1 out in 0 nfin\n"
+      "R3 out 0 1k\n");
   EXPECT_EQ(net->device_line("V1"), 2);
   EXPECT_EQ(net->device_line("R2"), 4);
   EXPECT_EQ(net->node_line("out"), 3);
   EXPECT_EQ(net->device_line("nope"), -1);
+  // A FET card's line goes to the FET, not to the capacitors it adds after
+  // it; the card after them keeps its own.
+  EXPECT_EQ(net->device_line("M1"), 11);
+  EXPECT_EQ(net->device_line("M1.cgs"), -1);
+  EXPECT_EQ(net->device_line("R3"), 12);
   // Every instance's devices and internal nodes carry their body lines.
   EXPECT_EQ(net->device_line("X1.R1"), 6);
   EXPECT_EQ(net->device_line("X2.R1"), 6);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/energy_model.h"
 #include "models/paper_params.h"
@@ -27,9 +29,25 @@ TEST(Log, LevelGateAndRestore) {
 TEST(CircuitRegistry, DuplicateDeviceNameRejected) {
   spice::Circuit ckt;
   const auto n = ckt.node("a");
-  ckt.add<spice::Resistor>("R1", n, spice::kGround, 1e3);
+  const auto* first = ckt.add<spice::Resistor>("R1", n, spice::kGround, 1e3);
   EXPECT_THROW(ckt.add<spice::Resistor>("R1", n, spice::kGround, 2e3),
                std::invalid_argument);
+  // A rejected duplicate leaves the circuit as it was, also when the
+  // attempt is the one that grows the name index: one attempt per size.
+  for (std::size_t k = 2; k <= 100; ++k) {
+    ckt.add<spice::Resistor>("R" + std::to_string(k), n, spice::kGround, 1e3);
+    try {
+      ckt.add<spice::Resistor>("R1", n, spice::kGround, 2e3);
+      ADD_FAILURE() << "duplicate accepted at " << k << " devices";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "Circuit: duplicate device name R1");
+    }
+    ASSERT_EQ(ckt.devices().size(), k);
+    ASSERT_EQ(ckt.find_device("R1"), first);
+  }
+  for (std::size_t k = 1; k <= 100; ++k) {
+    EXPECT_EQ(ckt.device_index("R" + std::to_string(k)), k - 1);
+  }
 }
 
 TEST(CircuitRegistry, NodeLookup) {
@@ -43,6 +61,42 @@ TEST(CircuitRegistry, NodeLookup) {
   EXPECT_EQ(ckt.find_device("nothing"), nullptr);
   // Re-requesting a node returns the same id.
   EXPECT_EQ(ckt.node("a"), a);
+  // "gnd" aliases ground and creates no node.
+  EXPECT_EQ(ckt.node("gnd"), spice::kGround);
+  EXPECT_TRUE(ckt.has_node("gnd"));
+  EXPECT_EQ(ckt.node_count(), 2u);
+  // A node and a device may share a name.
+  EXPECT_EQ(ckt.find_device("a"), nullptr);
+  const auto* ra = ckt.add<spice::Resistor>("a", a, spice::kGround, 1e3);
+  EXPECT_EQ(ckt.find_device("a"), ra);
+  EXPECT_EQ(ckt.find_node("a"), a);
+
+  // Many names, short (stored inline in std::string) and long, map back to
+  // their creation-order ids through every lookup while the index grows.
+  constexpr std::size_t kNames = 100000;
+  auto name_of = [](const char* head, std::size_t i) {
+    return head + std::to_string(i) + (i % 3 == 0 ? "_with_a_long_tail" : "");
+  };
+  const std::size_t first_node = ckt.node_count();
+  std::vector<const spice::Device*> devices;
+  for (std::size_t i = 0; i < kNames; ++i) {
+    ASSERT_EQ(ckt.node(name_of("n", i)), first_node + i);
+    devices.push_back(ckt.add<spice::Resistor>(name_of("R", i), a,
+                                               spice::kGround, 1e3));
+  }
+  ASSERT_EQ(ckt.node_count(), first_node + kNames);
+  for (std::size_t i = 0; i < kNames; ++i) {
+    const std::string node = name_of("n", i);
+    const std::string dev = name_of("R", i);
+    ASSERT_EQ(ckt.node(node), first_node + i);
+    ASSERT_EQ(ckt.find_node(node), first_node + i);
+    ASSERT_TRUE(ckt.has_node(node));
+    ASSERT_EQ(ckt.find_device(dev), devices[i]);
+    ASSERT_EQ(ckt.device_index(dev), i + 1);
+    ASSERT_FALSE(ckt.has_node(dev));
+    ASSERT_EQ(ckt.find_device(node), nullptr);
+  }
+  EXPECT_EQ(ckt.node_count(), first_node + kNames);
 }
 
 TEST(CircuitRegistry, ElementValidation) {
