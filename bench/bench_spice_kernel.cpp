@@ -192,13 +192,10 @@ struct SweepDcWorkload {
     // Common warm start: point 0's operating point, as neighboring sweep
     // points warm-start from each other.
     warm.assign(layouts[0].unknown_count(), 0.0);
-    spice::RecoveryOptions recovery;
-    recovery.source_ramp_from_zero = true;
     spice::NewtonWorkspace ws;
     const auto r = spice::solve_newton_with_recovery(
         tbs[0]->circuit(), layouts[0], warm, /*time=*/0.0, /*dt=*/0.0,
-        /*dc=*/true, spice::IntegrationMethod::kBackwardEuler, opts, recovery,
-        ws);
+        /*dc=*/true, spice::IntegrationMethod::kBackwardEuler, opts, ws);
     warm_ok = r.converged;
   }
 

@@ -33,7 +33,7 @@ Vector solve_factors(const DenseMatrix& lu, const std::vector<std::size_t>& perm
 
 }  // namespace
 
-bool LuFactorization::factorize(const DenseMatrix& a, double pivot_floor) {
+bool LuFactorization::factorize(const DenseMatrix& a) {
   if (a.rows() != a.cols()) throw std::invalid_argument("LU: matrix not square");
   const std::size_t n = a.rows();
   lu_ = a;
@@ -64,7 +64,7 @@ bool LuFactorization::factorize(const DenseMatrix& a, double pivot_floor) {
       non_finite_ = true;
       return false;
     }
-    if (pivot_mag < pivot_floor) {
+    if (pivot_mag < kPivotFloor) {
       failed_pivot_ = k;
       return false;
     }

@@ -14,7 +14,7 @@ namespace nvsram::linalg {
 inline constexpr std::size_t kNoFailedPivot =
     std::numeric_limits<std::size_t>::max();
 
-// Default smallest pivot magnitude the LU factorizations accept.
+// Smallest pivot magnitude the LU factorizations accept.
 inline constexpr double kPivotFloor = 1e-300;
 
 // In-place LU with partial pivoting.  After factorize(), solve() may be
@@ -22,10 +22,10 @@ inline constexpr double kPivotFloor = 1e-300;
 class LuFactorization {
  public:
   // Factorizes a copy of `a`.  Returns false if the matrix is singular to
-  // working precision (pivot below `pivot_floor`) or a pivot column turned
+  // working precision (pivot below kPivotFloor) or a pivot column turned
   // non-finite; failed_pivot()/non_finite() then attribute the failure
   // instead of letting NaN solutions propagate downstream.
-  bool factorize(const DenseMatrix& a, double pivot_floor = kPivotFloor);
+  bool factorize(const DenseMatrix& a);
 
   // Solves A x = b using the stored factors.  Requires factorize() == true.
   Vector solve(const Vector& b) const;

@@ -13,6 +13,10 @@ namespace {
 
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 
+// factorize() keeps the natural diagonal as the pivot while its magnitude is
+// at least this fraction of the column's largest candidate.
+constexpr double kPivotThreshold = 0.1;
+
 // Column-compressed view of a CSR matrix (values copied).
 struct Csc {
   std::size_t n = 0;
@@ -45,8 +49,7 @@ Csc to_csc(const CsrMatrix& a) {
 
 }  // namespace
 
-bool SparseLu::factorize(const CsrMatrix& a, double pivot_threshold,
-                         double pivot_floor) {
+bool SparseLu::factorize(const CsrMatrix& a) {
   n_ = a.dimension();
   valid_ = false;
   analyzed_ = false;
@@ -160,14 +163,14 @@ bool SparseLu::factorize(const CsrMatrix& a, double pivot_threshold,
         pivot_row = node;
       }
     }
-    if (pivot_row == kNone || max_mag < pivot_floor) {
+    if (pivot_row == kNone || max_mag < kPivotFloor) {
       failed_pivot_ = k;
       return false;
     }
     // Prefer the natural diagonal if it is within the threshold: keeps the
     // permutation close to identity, which preserves sparsity for MNA.
-    if (pinv[k] == kNone && std::fabs(x[k]) >= pivot_threshold * max_mag &&
-        std::fabs(x[k]) >= pivot_floor) {
+    if (pinv[k] == kNone && std::fabs(x[k]) >= kPivotThreshold * max_mag &&
+        std::fabs(x[k]) >= kPivotFloor) {
       pivot_row = k;
     }
     const double pivot = x[pivot_row];
@@ -355,7 +358,7 @@ bool SparseLu::pattern_matches(const CsrMatrix& a) const {
          a.row_ptr() == pattern_.row_ptr() && a.col_idx() == pattern_.col_idx();
 }
 
-bool SparseLu::refactor(const CsrMatrix& a, double pivot_floor) {
+bool SparseLu::refactor(const CsrMatrix& a) {
   if (!analyzed_) {
     throw std::logic_error("SparseLu::refactor before analyze");
   }
@@ -414,7 +417,7 @@ bool SparseLu::refactor(const CsrMatrix& a, double pivot_floor) {
       std::fill(x.begin(), x.end(), 0.0);
       return false;
     }
-    if (std::fabs(pivot) < pivot_floor) {
+    if (std::fabs(pivot) < kPivotFloor) {
       failed_pivot_ = k;
       std::fill(x.begin(), x.end(), 0.0);
       return false;

@@ -35,12 +35,11 @@ inline constexpr std::size_t kDenseCutoff = 160;
 class SparseLu {
  public:
   // Factorize A (CSR).  Returns false on structural or numerical
-  // singularity, or when an eliminated column turns non-finite
-  // (failed_pivot()/non_finite() attribute the failure).
-  // `pivot_threshold` in (0,1]: relative threshold pivoting — a diagonal
-  // pivot is kept if |diag| >= threshold * max|col candidates|.
-  bool factorize(const CsrMatrix& a, double pivot_threshold = 0.1,
-                 double pivot_floor = 1e-300);
+  // singularity (no pivot of at least kPivotFloor), or when an eliminated
+  // column turns non-finite (failed_pivot()/non_finite() attribute the
+  // failure).  Relative threshold pivoting: a diagonal pivot is kept if
+  // |diag| >= 0.1 * max|col candidates|.
+  bool factorize(const CsrMatrix& a);
 
   // ---- split symbolic / numeric API ----
   // Symbolic analysis of the pattern of `a` (values ignored).  Returns false
@@ -52,8 +51,9 @@ class SparseLu {
 
   // Numeric factorization over the analyzed pattern.  Requires a prior
   // successful analyze() with pattern_matches(a).  Returns false on a
-  // numeric pivot failure or a non-finite value; the analysis survives.
-  bool refactor(const CsrMatrix& a, double pivot_floor = 1e-300);
+  // numeric pivot failure (a pivot below kPivotFloor) or a non-finite value;
+  // the analysis survives.
+  bool refactor(const CsrMatrix& a);
 
   bool analyzed() const { return analyzed_; }
   bool pattern_matches(const CsrMatrix& a) const;

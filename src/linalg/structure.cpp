@@ -170,69 +170,6 @@ Matching maximum_matching(const SparsityPattern& pattern) {
   return m;
 }
 
-DmDecomposition dulmage_mendelsohn(const SparsityPattern& pattern,
-                                   const Matching& matching) {
-  const std::size_t n = pattern.dimension();
-  const SparsityPattern cols = pattern.transpose();
-  DmDecomposition dm;
-
-  // Horizontal region: alternating BFS from unmatched rows — row -> any
-  // column in the row, column -> its matched row.
-  {
-    std::vector<char> row_seen(n, 0), col_seen(n, 0);
-    std::vector<std::size_t> queue = matching.unmatched_rows();
-    for (std::size_t r : queue) row_seen[r] = 1;
-    for (std::size_t qi = 0; qi < queue.size(); ++qi) {
-      const std::size_t r = queue[qi];
-      for (std::size_t k = pattern.row_ptr()[r]; k < pattern.row_ptr()[r + 1];
-           ++k) {
-        const std::size_t c = pattern.col_idx()[k];
-        if (col_seen[c]) continue;
-        col_seen[c] = 1;
-        const std::size_t owner = matching.col_match[c];
-        if (owner != kUnmatched && !row_seen[owner]) {
-          row_seen[owner] = 1;
-          queue.push_back(owner);
-        }
-      }
-    }
-    for (std::size_t r = 0; r < n; ++r) {
-      if (row_seen[r]) dm.overdetermined_rows.push_back(r);
-    }
-    for (std::size_t c = 0; c < n; ++c) {
-      if (col_seen[c]) dm.overdetermined_cols.push_back(c);
-    }
-  }
-
-  // Vertical region: alternating BFS from unmatched columns — column -> any
-  // row with a nonzero in it, row -> its matched column.
-  {
-    std::vector<char> row_seen(n, 0), col_seen(n, 0);
-    std::vector<std::size_t> queue = matching.unmatched_cols();
-    for (std::size_t c : queue) col_seen[c] = 1;
-    for (std::size_t qi = 0; qi < queue.size(); ++qi) {
-      const std::size_t c = queue[qi];
-      for (std::size_t k = cols.row_ptr()[c]; k < cols.row_ptr()[c + 1]; ++k) {
-        const std::size_t r = cols.col_idx()[k];
-        if (row_seen[r]) continue;
-        row_seen[r] = 1;
-        const std::size_t mate = matching.row_match[r];
-        if (mate != kUnmatched && !col_seen[mate]) {
-          col_seen[mate] = 1;
-          queue.push_back(mate);
-        }
-      }
-    }
-    for (std::size_t r = 0; r < n; ++r) {
-      if (row_seen[r]) dm.underdetermined_rows.push_back(r);
-    }
-    for (std::size_t c = 0; c < n; ++c) {
-      if (col_seen[c]) dm.underdetermined_cols.push_back(c);
-    }
-  }
-  return dm;
-}
-
 BipartiteComponents connected_components(const SparsityPattern& pattern) {
   const std::size_t n = pattern.dimension();
   const SparsityPattern cols = pattern.transpose();

@@ -8,7 +8,6 @@
 // the lint layer share:
 //   * SparsityPattern      — immutable CSR positions of a square matrix
 //   * maximum_matching     — maximum transversal (Kuhn's augmenting paths)
-//   * dulmage_mendelsohn   — coarse DM classification of a deficient pattern
 //   * connected_components — equation blocks of the bipartite graph
 //   * min_degree_order     — fill-reducing column order for LU
 #pragma once
@@ -75,20 +74,6 @@ struct Matching {
 // wherever position (i, i) exists it is matched first, which keeps the
 // transversal close to the natural MNA ordering.
 Matching maximum_matching(const SparsityPattern& pattern);
-
-// Coarse Dulmage–Mendelsohn classification of a deficient matching.  The
-// horizontal (over-determined) region is everything alternating-reachable
-// from the unmatched rows, the vertical (under-determined) region everything
-// reachable from the unmatched columns; equations and unknowns in those
-// regions are exactly the ones implicated in the structural deficiency.
-struct DmDecomposition {
-  std::vector<std::size_t> overdetermined_rows;   // incl. the unmatched rows
-  std::vector<std::size_t> overdetermined_cols;
-  std::vector<std::size_t> underdetermined_rows;
-  std::vector<std::size_t> underdetermined_cols;  // incl. the unmatched cols
-};
-DmDecomposition dulmage_mendelsohn(const SparsityPattern& pattern,
-                                   const Matching& matching);
 
 // Connected components of the bipartite row/column graph (row r adjacent to
 // every column with a nonzero in row r).  For MNA this partitions the

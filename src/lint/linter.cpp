@@ -16,7 +16,6 @@
 #include "lint/temporal/timeline.h"
 #include "lint/temporal/units_check.h"
 #include "spice/circuit.h"
-#include "spice/controlled.h"
 #include "spice/elements.h"
 #include "spice/fet_element.h"
 #include "spice/mtj_element.h"
@@ -197,7 +196,7 @@ class Linter {
       emit_device(rules::kVsourceLoop,
                   "voltage-defined branch '" + dev->name() +
                       "' closes a loop of voltage sources (parallel or "
-                      "cyclic V/E devices); the MNA matrix is singular",
+                      "cyclic); the MNA matrix is singular",
                   *dev);
     }
   }
@@ -337,9 +336,6 @@ class Linter {
       } else if (const auto* c =
                      spice::device_cast<spice::Capacitor>(dev.get())) {
         check_positive(*dev, "capacitance", c->capacitance());
-      } else if (const auto* l =
-                     spice::device_cast<spice::Inductor>(dev.get())) {
-        check_positive(*dev, "inductance", l->inductance());
       } else if (const auto* fet =
                      spice::device_cast<spice::FinFETElement>(dev.get())) {
         const auto& p = fet->model().params();
@@ -490,13 +486,6 @@ class Linter {
              ".dc source '" + dc->source + "' is not an independent V/I "
              "source",
              dc->source, "", device_line(dc->source));
-      }
-    }
-    if (const auto& ac = netlist_->ac_card()) {
-      if (circuit_.find_device(ac->source) == nullptr) {
-        emit(rules::kCardUnresolved,
-             ".ac references unknown source '" + ac->source + "'", ac->source,
-             "", -1);
       }
     }
   }

@@ -145,7 +145,6 @@ DomainMap extract_domains(const Circuit& circuit,
   for (const auto& dev : circuit.devices()) {
     if (spice::device_cast<VSource>(dev.get()) != nullptr) continue;
     if (spice::device_cast<spice::ISource>(dev.get()) != nullptr) continue;
-    if (dev->voltage_branch()) continue;  // VCVS outputs pin, they don't wire
     if (const auto* fet = spice::device_cast<FinFETElement>(dev.get())) {
       if (is_switch(dev.get())) continue;        // domain boundary by role
       if (!map.driven_by[fet->gate()].empty()) continue;  // steering switch

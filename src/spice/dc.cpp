@@ -29,14 +29,10 @@ std::optional<DCSolution> DCAnalysis::solve(const linalg::Vector* initial_guess)
   linalg::Vector x(layout_.unknown_count(), 0.0);
   if (initial_guess && initial_guess->size() == x.size()) x = *initial_guess;
 
-  // DC always ramps sources from a zero vector when it gets that far.
-  RecoveryOptions recovery = options_.recovery;
-  recovery.source_ramp_from_zero = true;
-
   const util::Deadline deadline(options_.max_wall_seconds);
   const NewtonResult r = solve_newton_with_recovery(
       circuit_, layout_, x, /*time=*/0.0, /*dt=*/0.0, /*dc=*/true,
-      IntegrationMethod::kBackwardEuler, options_.newton, recovery, ws_,
+      IntegrationMethod::kBackwardEuler, options_.newton, ws_,
       deadline.unlimited() ? nullptr : &deadline);
   last_diag_ = r.diagnostics;
   if (!r.converged) {

@@ -13,10 +13,9 @@
 namespace nvsram::spice {
 
 struct DCOptions {
+  // A plain solve that fails escalates through the recovery ladder (gmin
+  // stepping, then source stepping from zero; solve_newton_with_recovery).
   NewtonOptions newton;
-  // Escalation ladder used when the plain solve fails (gmin stepping, then
-  // source stepping from zero) — see RecoveryOptions in spice/newton.h.
-  RecoveryOptions recovery;
   // Wall-clock watchdog for the whole solve incl. the recovery ladder:
   // solve() throws util::WatchdogError once this many seconds are consumed.
   // 0 = unlimited.  Mirrors TranOptions::max_wall_seconds so DC-heavy

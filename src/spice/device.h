@@ -56,22 +56,20 @@ class InlineList {
   std::size_t size_ = 0;
 };
 
-// VCVS and VCCS have four pins; no device conducts along more than one pair.
-using TerminalList = InlineList<TerminalRef, 4>;
+// A FinFET has the most pins, three; no device conducts along more than one
+// pair.
+using TerminalList = InlineList<TerminalRef, 3>;
 using DcPathList = InlineList<std::pair<NodeId, NodeId>, 1>;
 
 // One value per concrete Device class, returned by Device::kind().
 enum class DeviceKind {
   kResistor,
   kCapacitor,
-  kInductor,
   kVSource,
   kISource,
   kDiode,
   kMTJ,
   kFinFET,
-  kVCVS,
-  kVCCS,
 };
 
 enum class IntegrationMethod { kBackwardEuler, kTrapezoidal };
@@ -200,8 +198,7 @@ class PatternContext {
   PatternContext(const MnaLayout& layout, linalg::SparseBuilder& mat, bool dc)
       : layout_(layout), mat_(mat), dc_(dc) {}
 
-  // True when the pattern is for a DC system: capacitors contribute nothing,
-  // inductors short (no d/dt terms).
+  // True when the pattern is for a DC system: capacitors contribute nothing.
   bool dc() const { return dc_; }
 
   // ---- raw position stamps (ground rows/columns silently dropped) ----
@@ -250,9 +247,8 @@ class Device {
   virtual DeviceKind kind() const = 0;
 
   // ---- topology introspection (consumed by the lint layer) ----
-  // Every external pin with its role name.  Devices without terminals (none
-  // today) return an empty list and are invisible to topology checks.
-  virtual TerminalList terminals() const { return {}; }
+  // Every external pin with its role name.
+  virtual TerminalList terminals() const = 0;
 
   // Node pairs between which the device conducts at DC.  Capacitors and
   // current sources return nothing — exactly the edges the no-DC-path lint
@@ -260,8 +256,8 @@ class Device {
   virtual DcPathList dc_paths() const { return {}; }
 
   // The (plus, minus) pair whose voltage difference this device pins, if any
-  // (independent V sources, VCVS outputs).  Loops of such branches make the
-  // MNA matrix structurally singular.
+  // (independent V sources).  Loops of such branches make the MNA matrix
+  // structurally singular.
   virtual std::optional<std::pair<NodeId, NodeId>> voltage_branch() const {
     return std::nullopt;
   }
@@ -273,11 +269,9 @@ class Device {
   virtual void stamp(StampContext& ctx) = 0;
 
   // Record the matrix positions stamp() can ever touch for this analysis
-  // kind, without numerics or state mutation.  The default is conservative:
-  // all pairs over the device's terminals plus any allocated branch rows —
-  // a superset is harmless for solvability proofs but weakens them, so
-  // concrete devices override with their exact footprint.
-  virtual void stamp_pattern(PatternContext& ctx) const;
+  // kind, without numerics or state mutation: the device's exact footprint,
+  // including its branch rows.
+  virtual void stamp_pattern(PatternContext& ctx) const = 0;
 
   // Called once after the DC operating point, before transient stepping.
   virtual void begin_transient(const SolutionView&) {}

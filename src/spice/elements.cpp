@@ -182,62 +182,6 @@ double Capacitor::stored_energy(const SolutionView& s) const {
   return 0.5 * capacitance_ * v * v;
 }
 
-// ---- Inductor ------------------------------------------------------------------
-
-Inductor::Inductor(std::string name, NodeId a, NodeId b, double inductance)
-    : Device(std::move(name)), a_(a), b_(b), inductance_(inductance) {
-  if (inductance_ <= 0.0) {
-    throw std::invalid_argument("Inductor: inductance must be positive");
-  }
-}
-
-void Inductor::reserve(MnaLayout& layout) { branch_ = layout.allocate_branch(); }
-
-void Inductor::stamp(StampContext& ctx) {
-  // KCL: branch current leaves a, enters b.
-  ctx.mat_nb(a_, branch_, 1.0);
-  ctx.mat_nb(b_, branch_, -1.0);
-  ctx.mat_bn(branch_, a_, 1.0);
-  ctx.mat_bn(branch_, b_, -1.0);
-  if (ctx.dc()) {
-    // DC short: v_a - v_b = 0 (branch equation has no current term).
-    return;
-  }
-  // v = L di/dt.  BE:  v_n = (L/dt)(i_n - i_prev)
-  //              TRAP: v_n = (2L/dt)(i_n - i_prev) - v_prev
-  const double req =
-      (ctx.method() == IntegrationMethod::kTrapezoidal ? 2.0 : 1.0) *
-      inductance_ / ctx.dt();
-  // Branch equation: v_a - v_b - req * i_n = rhs_hist.
-  ctx.mat_bb(branch_, branch_, -req);
-  double hist = -req * i_prev_;
-  if (ctx.method() == IntegrationMethod::kTrapezoidal) hist -= v_prev_;
-  ctx.rhs_b(branch_, hist);
-}
-
-void Inductor::stamp_pattern(PatternContext& ctx) const {
-  ctx.mat_nb(a_, branch_);
-  ctx.mat_nb(b_, branch_);
-  ctx.mat_bn(branch_, a_);
-  ctx.mat_bn(branch_, b_);
-  if (!ctx.dc()) ctx.mat_bb(branch_, branch_);
-}
-
-void Inductor::begin_transient(const SolutionView& s) {
-  i_prev_ = s.value(branch_);
-  v_prev_ = s.node_voltage(a_) - s.node_voltage(b_);
-}
-
-bool Inductor::accept_step(const SolutionView& s, double, double) {
-  i_prev_ = s.value(branch_);
-  v_prev_ = s.node_voltage(a_) - s.node_voltage(b_);
-  return false;
-}
-
-double Inductor::current(const SolutionView& s) const {
-  return s.value(branch_);
-}
-
 // ---- VSource -------------------------------------------------------------------
 
 VSource::VSource(std::string name, NodeId plus, NodeId minus, SourceSpec spec)

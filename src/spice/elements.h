@@ -106,40 +106,6 @@ class Capacitor final : public Device {
   double ieq_ = 0.0;
 };
 
-class Inductor final : public Device {
- public:
-  static constexpr DeviceKind kKind = DeviceKind::kInductor;
-  DeviceKind kind() const override { return kKind; }
-
-  Inductor(std::string name, NodeId a, NodeId b, double inductance);
-
-  void reserve(MnaLayout& layout) override;
-  void stamp(StampContext& ctx) override;
-  void stamp_pattern(PatternContext& ctx) const override;
-  void begin_transient(const SolutionView& s) override;
-  bool accept_step(const SolutionView& s, double time, double dt) override;
-  // Branch current, positive a -> b.
-  double current(const SolutionView& s) const override;
-  TerminalList terminals() const override {
-    return {{"a", a_}, {"b", b_}};
-  }
-  // DC short: conducts.
-  DcPathList dc_paths() const override {
-    return {{a_, b_}};
-  }
-
-  double inductance() const { return inductance_; }
-  std::size_t branch_index() const { return branch_; }
-
- private:
-  NodeId a_, b_;
-  double inductance_;
-  std::size_t branch_ = MnaLayout::kNoIndex;
-  // Committed history.
-  double i_prev_ = 0.0;
-  double v_prev_ = 0.0;
-};
-
 // ---- independent sources ----------------------------------------------------
 class VSource final : public Device {
  public:

@@ -15,8 +15,6 @@
 #include "lint/temporal/role.h"
 #include "models/finfet.h"
 #include "models/mtj.h"
-#include "spice/ac.h"
-#include "spice/controlled.h"
 #include "spice/elements.h"
 #include "spice/fet_element.h"
 #include "spice/mtj_element.h"
@@ -219,14 +217,11 @@ class ParserImpl {
         switch (head[0]) {
           case 'r': parse_resistor(tokens); break;
           case 'c': parse_capacitor(tokens); break;
-          case 'l': parse_inductor(tokens); break;
           case 'v': parse_source<VSource>(tokens); break;
           case 'i': parse_source<ISource>(tokens); break;
           case 'd': parse_diode(tokens); break;
           case 'm': parse_fet(tokens); break;
           case 'y': parse_mtj(tokens); break;
-          case 'e': parse_vcvs(tokens); break;
-          case 'g': parse_vccs(tokens); break;
           default:
             throw NetlistError(line_no_, "unknown card '" + tokens[0] + "'");
         }
@@ -329,12 +324,6 @@ class ParserImpl {
     need(t, 4, "capacitor");
     out_.circuit().add<Capacitor>(devname(t[0]), node(t[1]), node(t[2]),
                                   number(t[3]));
-  }
-
-  void parse_inductor(const std::vector<std::string>& t) {
-    need(t, 4, "inductor");
-    out_.circuit().add<Inductor>(devname(t[0]), node(t[1]), node(t[2]),
-                                 number(t[3]));
   }
 
   // `device` names the source in a PWL diagnostic.
@@ -505,18 +494,6 @@ class ParserImpl {
                                    params, state);
   }
 
-  void parse_vcvs(const std::vector<std::string>& t) {
-    need(t, 6, "vcvs");
-    out_.circuit().add<VCVS>(devname(t[0]), node(t[1]), node(t[2]),
-                             node(t[3]), node(t[4]), number(t[5]));
-  }
-
-  void parse_vccs(const std::vector<std::string>& t) {
-    need(t, 6, "vccs");
-    out_.circuit().add<VCCS>(devname(t[0]), node(t[1]), node(t[2]),
-                             node(t[3]), node(t[4]), number(t[5]));
-  }
-
   void begin_subckt(const std::vector<std::string>& t) {
     need(t, 3, ".subckt");
     SubcktDef def;
@@ -583,19 +560,6 @@ class ParserImpl {
       if (t.size() > 2) card.dt_max = number(t[2]);
       if (card.t_stop <= 0.0) fail(".tran needs a positive stop time");
       out_.set_tran_card(card);
-    } else if (head == ".ac") {
-      need(t, 4, ".ac");
-      AcCard card;
-      card.source = t[1];
-      card.f_start = number(t[2]);
-      card.f_stop = number(t[3]);
-      if (t.size() > 4) {
-        card.points_per_decade = integer(".ac points-per-decade", t[4]);
-      }
-      if (card.f_start <= 0.0 || card.f_stop <= card.f_start) {
-        fail(".ac needs 0 < f_start < f_stop");
-      }
-      out_.set_ac_card(std::move(card));
     } else if (head == ".role") {
       need(t, 3, ".role");
       const std::string role = lower(t[2]);
@@ -785,27 +749,6 @@ Waveform ParsedNetlist::run_tran() {
   if (tran_->dt_max > 0.0) opt.dt_max = tran_->dt_max;
   TranAnalysis tran(circuit_, opt, probes_);
   return tran.run();
-}
-
-Waveform ParsedNetlist::run_ac() {
-  if (!ac_) throw std::logic_error("netlist has no .ac card");
-  ensure_lint_ok();
-  Device* src = circuit_.find_device(ac_->source);
-  if (!src) {
-    throw std::logic_error(".ac source '" + ac_->source + "' not found");
-  }
-  ACOptions opt;
-  opt.f_start = ac_->f_start;
-  opt.f_stop = ac_->f_stop;
-  opt.points_per_decade = ac_->points_per_decade;
-  // AC accepts only node-voltage probes; others are silently skipped.
-  std::vector<Probe> vprobes;
-  for (const auto& p : probes_) {
-    if (p.kind == Probe::Kind::kNodeVoltage) vprobes.push_back(p);
-  }
-  ACAnalysis ac(circuit_, opt, std::move(vprobes));
-  ac.set_ac(src, 1.0);
-  return ac.run();
 }
 
 std::optional<DCSolution> ParsedNetlist::run_op() {

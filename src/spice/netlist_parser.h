@@ -4,19 +4,15 @@
 //
 //   R<name> n+ n- <value>
 //   C<name> n+ n- <value>
-//   L<name> n+ n- <value>
 //   V<name> n+ n- DC <v> | PULSE(v1 v2 td tr tf pw [per]) | PWL(t1 v1 ...)
 //   I<name> n+ n- DC <v> | PULSE(...) | PWL(...)
 //   D<name> anode cathode [is=<A>] [n=<emission>]
 //   M<name> d g s <nfin|pfin> [fins=<k>] [vth=<V>] [l=<m>]
 //   Y<name> pinned free <P|AP> [fast] [tau0=<s>]
-//   E<name> p n cp cn <gain>                 (VCVS)
-//   G<name> p n cp cn <gm>                   (VCCS)
 //   .subckt <name> <port>... / .ends         (definition)
 //   X<name> <node>... <subckt-name>          (instantiation)
 //   .dc <source-name> <start> <stop> <points>
 //   .tran <t_stop> [dt_max]
-//   .ac <vsource-name> <f_start> <f_stop> [points-per-decade]
 //   .probe v(<node>) | i(<device>) | p(<vsource>) | e(<vsource>)
 //   .role <source> <role>                     (protocol role annotation)
 //   .domain <node> <name> [gated|always-on]   (power-intent annotation)
@@ -26,8 +22,8 @@
 // Numbers accept engineering suffixes: f p n u m k meg g t (e.g. "4f",
 // "2.2k", "10n", "1meg") on top of ordinary decimal and scientific
 // notation.  NaN, infinity, hexadecimal and values beyond double range are
-// rejected.  The integer fields (fins=, .dc points, .ac points-per-decade)
-// take whole numbers that fit an int.
+// rejected.  The integer fields (fins=, .dc points) take whole numbers that
+// fit an int.
 //
 // The parser produces a ParsedNetlist that owns the Circuit and can execute
 // the requested analyses (`run_*`), returning Waveforms.
@@ -73,13 +69,6 @@ struct TranCard {
   double dt_max = 0.0;  // 0 => auto
 };
 
-struct AcCard {
-  std::string source;
-  double f_start = 0.0;
-  double f_stop = 0.0;
-  int points_per_decade = 10;
-};
-
 class ParsedNetlist {
  public:
   Circuit& circuit() { return circuit_; }
@@ -89,14 +78,11 @@ class ParsedNetlist {
   const std::vector<Probe>& probes() const { return probes_; }
   const std::optional<DcSweepCard>& dc_card() const { return dc_; }
   const std::optional<TranCard>& tran_card() const { return tran_; }
-  const std::optional<AcCard>& ac_card() const { return ac_; }
 
   // Execute the .dc card (throws std::logic_error if absent).
   Waveform run_dc_sweep();
   // Execute the .tran card (throws std::logic_error if absent).
   Waveform run_tran();
-  // Execute the .ac card (throws std::logic_error if absent).
-  Waveform run_ac();
   // Operating point with the default probes evaluated.
   std::optional<DCSolution> run_op();
 
@@ -178,7 +164,6 @@ class ParsedNetlist {
   void set_title(std::string t) { title_ = std::move(t); }
   void set_dc_card(DcSweepCard c) { dc_ = c; }
   void set_tran_card(TranCard c) { tran_ = c; }
-  void set_ac_card(AcCard c) { ac_ = std::move(c); }
   void add_probe(Probe p) { probes_.push_back(std::move(p)); }
 
  private:
@@ -191,7 +176,6 @@ class ParsedNetlist {
   std::vector<Probe> probes_;
   std::optional<DcSweepCard> dc_;
   std::optional<TranCard> tran_;
-  std::optional<AcCard> ac_;
   std::vector<int> device_lines_;  // by device position; -1 unrecorded
   std::vector<int> node_lines_;    // by NodeId; -1 unrecorded
   std::unordered_set<std::string> instance_prefixes_;  // "X3.", "X3.X17."

@@ -34,6 +34,15 @@ std::string unknown_name(const Circuit& circuit, const MnaLayout& layout,
 
 namespace {
 
+// Largest node-voltage move one Newton iteration may take (V): keeps the
+// exponential models inside their linear-ish region.
+constexpr double kVoltageLimit = 0.4;
+
+// The recovery ladder's rungs (see solve_newton_with_recovery).
+constexpr double kGminStart = 1e-2;
+constexpr double kGminStop = 1e-12;
+constexpr int kSourceSteps = 25;
+
 // Scans `v` for the first non-finite entry; returns its index or npos.
 std::size_t first_non_finite(const linalg::Vector& v) {
   for (std::size_t i = 0; i < v.size(); ++i) {
@@ -243,14 +252,13 @@ NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
       return result;
     }
 
-    // Damped update: limit node-voltage moves to keep the exponential models
-    // inside their linear-ish region.
+    // Damped update: limit node-voltage moves to kVoltageLimit.
     for (std::size_t i = 0; i < n; ++i) {
       double next = (*solved)[i];
       if (i < node_unknowns) {
         const double delta = next - x[i];
-        if (delta > opts.voltage_limit) next = x[i] + opts.voltage_limit;
-        if (delta < -opts.voltage_limit) next = x[i] - opts.voltage_limit;
+        if (delta > kVoltageLimit) next = x[i] + kVoltageLimit;
+        if (delta < -kVoltageLimit) next = x[i] - kVoltageLimit;
       }
       x[i] = next;
     }
@@ -266,7 +274,6 @@ NewtonResult solve_newton_with_recovery(Circuit& circuit,
                                         double dt, bool dc,
                                         IntegrationMethod method,
                                         const NewtonOptions& opts,
-                                        const RecoveryOptions& recovery,
                                         NewtonWorkspace& ws,
                                         const util::Deadline* deadline) {
   const linalg::Vector x0 = x;
@@ -277,15 +284,14 @@ NewtonResult solve_newton_with_recovery(Circuit& circuit,
   if (deadline) deadline->check("recovery ladder");
 
   // ---- stage 1: gmin ramp ----
-  // Solve a heavily loaded (gmin_start to ground everywhere) system, then
+  // Solve a heavily loaded (kGminStart to ground everywhere) system, then
   // relax the loading rung by rung, warm-starting each rung from the last.
-  if (recovery.gmin_ramp) {
+  {
     linalg::Vector attempt = x0;
     NewtonOptions rung_opts = opts;
     bool ladder_ok = true;
     NewtonResult rung;
-    for (double g = recovery.gmin_start; g >= recovery.gmin_stop * 0.99;
-         g /= recovery.gmin_factor) {
+    for (double g = kGminStart; g >= kGminStop * 0.99; g /= 10.0) {
       if (deadline) deadline->check("recovery ladder (gmin ramp)");
       rung_opts.gmin = std::max(g, opts.gmin);
       rung = solve_newton(circuit, layout, attempt, time, dt, dc, method,
@@ -311,18 +317,17 @@ NewtonResult solve_newton_with_recovery(Circuit& circuit,
   }
 
   // ---- stage 2: source ramp ----
-  // Ramp every independent source from zero (DC) or from the entry scale's
-  // fraction (transient salvage) up to the requested scale.
-  if (recovery.source_ramp && recovery.source_steps > 0) {
-    linalg::Vector attempt =
-        recovery.source_ramp_from_zero ? linalg::Vector(x0.size(), 0.0) : x0;
+  // Ramp every independent source up to the requested scale, from a zero
+  // vector (DC) or from the last accepted timepoint (transient salvage).
+  {
+    linalg::Vector attempt = dc ? linalg::Vector(x0.size(), 0.0) : x0;
     NewtonOptions ramp_opts = opts;
     bool ramp_ok = true;
     NewtonResult rung;
-    for (int s = 1; s <= recovery.source_steps; ++s) {
+    for (int s = 1; s <= kSourceSteps; ++s) {
       if (deadline) deadline->check("recovery ladder (source ramp)");
       ramp_opts.source_scale = opts.source_scale * static_cast<double>(s) /
-                               static_cast<double>(recovery.source_steps);
+                               static_cast<double>(kSourceSteps);
       rung = solve_newton(circuit, layout, attempt, time, dt, dc, method,
                           ramp_opts, ws);
       plain.iterations += rung.iterations;

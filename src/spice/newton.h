@@ -28,7 +28,6 @@ struct NewtonOptions {
   double reltol = 1e-3;
   double gmin = 1e-12;         // conductance added node -> ground
   double source_scale = 1.0;   // for source stepping
-  double voltage_limit = 0.4;  // max per-iteration node-voltage update (V)
 
   // Shared relaxation ladder for retry loops (sweep runners, benches):
   // attempt 0 returns *this unchanged; each later attempt trades accuracy
@@ -68,22 +67,6 @@ struct NewtonWorkspace {
   std::size_t fallback_count = 0;    // refactor pivot failures -> full factorize
 };
 
-// Escalation ladder used when a plain solve fails: solve under heavy gmin
-// loading and relax it rung by rung, then ramp the sources up from zero.
-// Shared by the DC operating-point search and the transient mid-step
-// salvage (where it runs after dt-halving bottoms out at dt_min).
-struct RecoveryOptions {
-  bool gmin_ramp = true;
-  double gmin_start = 1e-2;
-  double gmin_stop = 1e-12;
-  double gmin_factor = 10.0;
-  bool source_ramp = true;
-  int source_steps = 25;
-  // DC ramps sources from a zero vector; the transient salvage restarts
-  // each rung from the last accepted timepoint instead.
-  bool source_ramp_from_zero = true;
-};
-
 struct NewtonResult {
   bool converged = false;
   int iterations = 0;
@@ -107,12 +90,18 @@ NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
                           IntegrationMethod method, const NewtonOptions& opts,
                           NewtonWorkspace& ws);
 
-// solve_newton plus the recovery ladder: on failure escalates through
-// gmin-ramping and source-ramping at the same timepoint.  On success the
-// returned diagnostics record the stage that produced the solution; on
-// failure the stage is kExhausted and the diagnostics describe the
-// original (unrecovered) failure.  Iteration counts accumulate across all
-// attempted rungs.
+// solve_newton plus the recovery ladder, shared by the DC operating-point
+// search and the transient mid-step salvage (where it runs after
+// dt-halving bottoms out at dt_min).  On failure it escalates at the same
+// timepoint: a gmin ramp (heavy loading from every node to ground, relaxed
+// tenfold per rung), then a source ramp in equal steps up to the requested
+// source scale; the rungs are constants in newton.cpp.  A DC solve ramps
+// the sources from a zero vector, a transient one from `x` as passed in,
+// the last accepted timepoint.  On success the returned diagnostics record
+// the stage that produced the solution; on failure `x` is restored, the
+// stage is kExhausted and the diagnostics describe the original
+// (unrecovered) failure.  Iteration counts accumulate across all attempted
+// rungs.
 //
 // `deadline` (optional) bounds the ladder's wall-clock time: it is checked
 // between rungs/ramp steps and throws util::WatchdogError on expiry, so a
@@ -125,7 +114,6 @@ NewtonResult solve_newton_with_recovery(Circuit& circuit,
                                         double dt, bool dc,
                                         IntegrationMethod method,
                                         const NewtonOptions& opts,
-                                        const RecoveryOptions& recovery,
                                         NewtonWorkspace& ws,
                                         const util::Deadline* deadline = nullptr);
 

@@ -7,8 +7,8 @@
 //
 //   * maximum matching — a perfect equation/unknown matching proves the
 //     system structurally nonsingular; a deficiency proves it singular for
-//     EVERY assignment of device values, and Dulmage–Mendelsohn
-//     classification names exactly the equations and unknowns implicated.
+//     EVERY assignment of device values, and the matching's unmatched rows
+//     and columns name the unsolvable equations and undetermined unknowns.
 //   * dangling branch equations — a branch unknown whose row or column is
 //     empty (e.g. a voltage source strapped between grounds) is attributed
 //     to its owning device.
@@ -77,7 +77,7 @@ struct StructuralReport {
 };
 
 // Analyze the circuit's MNA pattern.  `dc` selects the DC pattern (capacitors
-// open, inductors short, no gmin); otherwise the transient pattern.  Builds
+// open, no gmin); otherwise the transient pattern.  Builds
 // its own layout (and so is independent of any solver state).
 StructuralReport analyze_structure(const Circuit& circuit, bool dc = true);
 

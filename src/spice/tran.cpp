@@ -9,6 +9,15 @@
 
 namespace nvsram::spice {
 
+namespace {
+
+// Accept factor on the predictor error: a step passes the local error test
+// while its worst node misses the predictor by at most this many times its
+// tolerance.
+constexpr double kLteTrtol = 7.0;
+
+}  // namespace
+
 TranOptions TranOptions::relaxed(int attempt) const {
   TranOptions r = *this;
   if (attempt <= 0) return r;
@@ -96,20 +105,12 @@ Waveform TranAnalysis::run(const DCSolution* initial) {
   };
 
   double t = 0.0;
-  // Probe-recording decimation: keep at least max_samples points by spacing
-  // recordings ~t_stop/max_samples apart (plus the first and last points).
-  const double record_spacing =
-      options_.max_samples > 0
-          ? options_.t_stop / static_cast<double>(options_.max_samples)
-          : 0.0;
-  double last_recorded = -1.0;
   {
     SolutionView view(x, layout_);
     for (std::size_t i = 0; i < sources.size(); ++i) {
       power_prev[i] = sources[i]->delivered_power(view, t);
     }
     record(t, view);
-    last_recorded = t;
   }
 
   // History for the predictor (two previous accepted points).
@@ -158,18 +159,13 @@ Waveform TranAnalysis::run(const DCSolution* initial) {
 
       // dt-halving is exhausted: escalate through the recovery ladder at
       // this timepoint, restarting from the last accepted solution.
-      if (options_.recovery_enabled) {
-        RecoveryOptions recovery = options_.recovery;
-        recovery.source_ramp_from_zero = false;
-        x_new = x;
-        nr = solve_newton_with_recovery(circuit_, layout_, x_new, t + dt_try,
-                                        dt_try, /*dc=*/false, options_.method,
-                                        options_.newton, recovery, ws_,
-                                        watchdog.unlimited() ? nullptr
-                                                             : &watchdog);
-        stats_.total_newton_iterations +=
-            static_cast<std::size_t>(nr.iterations);
-      }
+      x_new = x;
+      nr = solve_newton_with_recovery(circuit_, layout_, x_new, t + dt_try,
+                                      dt_try, /*dc=*/false, options_.method,
+                                      options_.newton, ws_,
+                                      watchdog.unlimited() ? nullptr
+                                                           : &watchdog);
+      stats_.total_newton_iterations += static_cast<std::size_t>(nr.iterations);
       stats_.last_diagnostics = nr.diagnostics;
       if (!nr.converged) {
         throw SolverError("TranAnalysis: timestep underflow at t=" +
@@ -197,7 +193,7 @@ Waveform TranAnalysis::run(const DCSolution* initial) {
         const double tol = options_.lte_abstol +
                            options_.lte_reltol * std::max(std::fabs(x_new[i]),
                                                           std::fabs(x[i]));
-        worst = std::max(worst, err / (options_.lte_trtol * tol));
+        worst = std::max(worst, err / (kLteTrtol * tol));
       }
       if (worst > 1.0 && dt_try > options_.dt_min * 4.0) {
         ++stats_.rejected_steps;
@@ -238,13 +234,7 @@ Waveform TranAnalysis::run(const DCSolution* initial) {
     t = t_new;
     have_history = true;
     ++stats_.accepted_steps;
-
-    const bool final_point = t >= options_.t_stop - 1e-18 * options_.t_stop;
-    if (record_spacing == 0.0 || final_point ||
-        t - last_recorded >= record_spacing) {
-      record(t, view);
-      last_recorded = t;
-    }
+    record(t, view);
   }
   return wave;
 }

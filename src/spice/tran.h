@@ -32,16 +32,8 @@ struct TranOptions {
   double dt_max = 0.0;         // 0 => t_stop / 50
   double lte_reltol = 2e-3;
   double lte_abstol = 1e-5;    // volts
-  double lte_trtol = 7.0;      // accept factor on the predictor error
   IntegrationMethod method = IntegrationMethod::kTrapezoidal;
   NewtonOptions newton;
-  // Thin the recorded waveform to roughly this many samples (the solver
-  // still takes every step; only probe recording is decimated).  0 =>
-  // record every accepted step.
-  std::size_t max_samples = 0;
-  // Mid-step salvage ladder entered when dt-halving reaches dt_min.
-  RecoveryOptions recovery;
-  bool recovery_enabled = true;
   // Wall-clock watchdog: run() throws util::WatchdogError once the run has
   // consumed this many seconds.  0 => unlimited.
   double max_wall_seconds = 0.0;

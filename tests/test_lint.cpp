@@ -121,15 +121,6 @@ TEST(Lint, CyclicVoltageSourceLoopFlagged) {
   EXPECT_EQ(net->lint().by_rule(lint::rules::kVsourceLoop).size(), 1u);
 }
 
-TEST(Lint, VcvsOutputParticipatesInVoltageLoop) {
-  auto net = parse(
-      "V1 in 0 DC 1\n"
-      "E1 out 0 in 0 2\n"
-      "V2 out 0 DC 2\n"
-      "R1 out 0 1k\n");
-  EXPECT_EQ(net->lint().by_rule(lint::rules::kVsourceLoop).size(), 1u);
-}
-
 TEST(Lint, ShortedVoltageSourceFlagged) {
   auto net = parse(
       "V1 a a DC 1\n"
@@ -211,14 +202,6 @@ TEST(Lint, DcCardSweepingAResistorFlagged) {
       "V1 a 0 DC 1\n"
       "R1 a 0 1k\n"
       ".dc R1 0 1 5\n");
-  EXPECT_EQ(net->lint().by_rule(lint::rules::kCardUnresolved).size(), 1u);
-}
-
-TEST(Lint, AcCardWithUnknownSourceFlagged) {
-  auto net = parse(
-      "V1 a 0 DC 0\n"
-      "R1 a 0 1k\n"
-      ".ac Vnope 1e6 1e9\n");
   EXPECT_EQ(net->lint().by_rule(lint::rules::kCardUnresolved).size(), 1u);
 }
 
@@ -469,8 +452,8 @@ TEST(ParserLocation, NonDecimalNumbersFailOnTheirLine) {
   }
 }
 
-// fins=, .dc points and .ac points-per-decade take whole numbers that fit
-// an int; a fraction is not truncated and 1e30 is not cast.
+// fins= and .dc points take whole numbers that fit an int; a fraction is
+// not truncated and 1e30 is not cast.
 TEST(ParserLocation, IntegerFieldsRejectFractionsAndOverflow) {
   const std::pair<const char*, const char*> cases[] = {
       {"t\nVd d 0 DC 0.9\nM1 d d 0 nfin fins=2.7\n", "fins"},
@@ -478,8 +461,6 @@ TEST(ParserLocation, IntegerFieldsRejectFractionsAndOverflow) {
       {"t\nVd d 0 DC 0.9\nM1 d d 0 nfin fins=-3e9\n", "fins"},
       {"t\nV1 a 0 DC 1\n.dc V1 0 1 10.5\n", ".dc points"},
       {"t\nV1 a 0 DC 1\n.dc V1 0 1 1e30\n", ".dc points"},
-      {"t\nV1 a 0 DC 1\n.ac V1 1e6 1e9 2.5\n", ".ac points-per-decade"},
-      {"t\nV1 a 0 DC 1\n.ac V1 1e6 1e9 1e30\n", ".ac points-per-decade"},
   };
   NetlistParser p;
   for (const auto& [deck, field] : cases) {
@@ -585,10 +566,10 @@ TEST(ParserLocation, DeviceAndNodeLinesRecorded) {
 
 TEST(LintRegression, AllShippedNetlistsLintClean) {
   namespace fs = std::filesystem;
-  std::size_t seen = 0;
+  std::set<std::string> seen;
   for (const auto& entry : fs::directory_iterator(NVSRAM_NETLIST_DIR)) {
     if (entry.path().extension() != ".cir") continue;
-    ++seen;
+    seen.insert(entry.path().filename().string());
     std::ifstream in(entry.path());
     ASSERT_TRUE(in.good()) << entry.path();
     std::ostringstream ss;
@@ -598,7 +579,10 @@ TEST(LintRegression, AllShippedNetlistsLintClean) {
     EXPECT_TRUE(report.empty())
         << entry.path() << " has diagnostics:\n" << report.format();
   }
-  EXPECT_GE(seen, 5u) << "netlists/ should ship at least the five seeds";
+  for (const char* deck : {"mtj_sense.cir", "nvsram_cell_full.cir",
+                           "nvsram_store.cir", "sram_latch.cir"}) {
+    EXPECT_TRUE(seen.count(deck)) << "netlists/ should ship " << deck;
+  }
 }
 
 // ---- regression: generated NV-SRAM arrays -----------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "spice/elements.h"
 #include "spice/fet_element.h"
@@ -86,13 +87,18 @@ TEST(Parser, CommentsAndBlankLinesIgnored) {
 }
 
 TEST(Parser, ErrorsCarryLineNumbers) {
+  // Unknown cards, L, E, G and .ac among them, fail on their own line.
   NetlistParser p;
-  try {
-    p.parse("R1 a 0 1k\nQ9 what 0 0\n");
-    FAIL() << "expected NetlistError";
-  } catch (const NetlistError& e) {
-    EXPECT_EQ(e.line(), 2);
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
+  for (const char* card : {"Q9 what 0 0", "L1 a 0 1n", "E1 a 0 b 0 2",
+                           "G1 a 0 b 0 1m", ".ac V1 1meg 1g"}) {
+    try {
+      p.parse(std::string("R1 a 0 1k\n") + card + "\n");
+      ADD_FAILURE() << "expected NetlistError: " << card;
+    } catch (const NetlistError& e) {
+      EXPECT_EQ(e.line(), 2) << card;
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

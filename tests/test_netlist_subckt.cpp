@@ -1,9 +1,6 @@
-// Netlist subcircuits, controlled-source cards, and the .ac card.
+// Netlist subcircuits.
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "spice/controlled.h"
 #include "spice/elements.h"
 #include "spice/netlist_parser.h"
 
@@ -129,66 +126,6 @@ TEST(Subckt, MixedDevicesInsideBody) {
   ASSERT_TRUE(sol.has_value());
   EXPECT_GT(sol->node_voltage(net->circuit().find_node("b")), 0.85);
   EXPECT_LT(sol->node_voltage(net->circuit().find_node("c")), 0.05);
-}
-
-// ---- E / G cards ----
-
-TEST(ControlledCards, VcvsParsedAndSolved) {
-  NetlistParser p;
-  auto net = p.parse(
-      "vcvs\n"
-      "V1 in 0 DC 0.5\n"
-      "E1 out 0 in 0 3\n"
-      "RL out 0 1k\n");
-  auto* e = dynamic_cast<VCVS*>(net->circuit().find_device("E1"));
-  ASSERT_NE(e, nullptr);
-  EXPECT_DOUBLE_EQ(e->gain(), 3.0);
-  const auto sol = net->run_op();
-  ASSERT_TRUE(sol.has_value());
-  EXPECT_NEAR(sol->node_voltage(net->circuit().find_node("out")), 1.5, 1e-6);
-}
-
-TEST(ControlledCards, VccsParsedAndSolved) {
-  NetlistParser p;
-  auto net = p.parse(
-      "vccs\n"
-      "V1 in 0 DC 1\n"
-      "G1 0 out in 0 2m\n"
-      "RL out 0 1k\n");
-  const auto sol = net->run_op();
-  ASSERT_TRUE(sol.has_value());
-  // 2 mA pushed INTO out (from 0 through the source): +2 V on 1k.
-  EXPECT_NEAR(sol->node_voltage(net->circuit().find_node("out")), 2.0, 1e-5);
-}
-
-// ---- .ac card ----
-
-TEST(AcCard, ParsedAndRun) {
-  NetlistParser p;
-  auto net = p.parse(
-      "rc bode\n"
-      "V1 in 0 DC 0\n"
-      "R1 in out 1k\n"
-      "C1 out 0 1p\n"
-      ".probe v(out)\n"
-      ".ac V1 1e6 1e10 10\n");
-  ASSERT_TRUE(net->ac_card().has_value());
-  EXPECT_EQ(net->ac_card()->source, "V1");
-  const auto wave = net->run_ac();
-  const double f3db = 1.0 / (2.0 * M_PI * 1e3 * 1e-12);
-  EXPECT_NEAR(wave.value_at("mag:v(out)", f3db), 1.0 / std::sqrt(2.0), 0.02);
-}
-
-TEST(AcCard, ValidatesRange) {
-  NetlistParser p;
-  EXPECT_THROW(p.parse("t\nV1 a 0 DC 0\nR1 a 0 1k\n.ac V1 1e9 1e6\n"),
-               NetlistError);
-}
-
-TEST(AcCard, MissingCardThrowsOnRun) {
-  NetlistParser p;
-  auto net = p.parse("t\nR1 a 0 1k\n");
-  EXPECT_THROW(net->run_ac(), std::logic_error);
 }
 
 }  // namespace

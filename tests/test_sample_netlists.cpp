@@ -40,14 +40,6 @@ TEST(SampleNetlists, LatchFlipsOnWritePulse) {
   EXPECT_LT(wave.value_at("v(qb)", 5.8e-9), 0.1);
 }
 
-TEST(SampleNetlists, RcBodeHasPoleNear160MHz) {
-  NetlistParser p;
-  auto net = p.parse(read_file("rc_bode.cir"));
-  ASSERT_TRUE(net->ac_card().has_value());
-  const auto wave = net->run_ac();
-  EXPECT_NEAR(wave.value_at("mag:v(out)", 159.2e6), 0.707, 0.02);
-}
-
 TEST(SampleNetlists, MtjSenseSweepShowsStateContrast) {
   NetlistParser p;
   auto net = p.parse(read_file("mtj_sense.cir"));

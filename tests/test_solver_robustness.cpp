@@ -87,8 +87,6 @@ TEST(NewtonRobustness, IterationCapNamesTheWorstUnknown) {
   LatchFixture f;
   DCOptions opts;
   opts.newton.max_iterations = 1;
-  opts.recovery.gmin_ramp = false;
-  opts.recovery.source_ramp = false;
   DCAnalysis dc(f.ckt, opts);
   ASSERT_FALSE(dc.solve().has_value());
   const SolveDiagnostics& diag = dc.last_diagnostics();
@@ -357,6 +355,54 @@ TEST(FaultInjection, TransientStallSalvagedByLadder) {
   TranAnalysis tran(ckt, opt, {Probe::node_voltage(ckt.find_node("out"), "out")});
   const auto wave = tran.run();
   EXPECT_GE(tran.stats().recoveries(), 1u);
+  EXPECT_NEAR(wave.value_at("out", 19e-9), 1.0, 0.01);
+}
+
+TEST(FaultInjection, DcStallRecoveredBySourceRampFromZero) {
+  // Solve 0 is the plain solve and solve 1 the first gmin rung: stalling
+  // both leaves the source ramp, which a DC solve starts from a zero vector
+  // rather than from the guess.  Four Newton iterations per rung cover every
+  // step of the ramp from zero (three at most here) but not its first step
+  // from a guess holding q and the rail at 0.9 V (eight).
+  LatchFixture f;
+  const MnaLayout layout = f.ckt.build_layout();
+  linalg::Vector guess(layout.unknown_count(), 0.0);
+  guess[layout.node_index(f.vdd)] = 0.9;
+  guess[layout.node_index(f.q)] = 0.9;
+  DCOptions opts;
+  opts.newton.max_iterations = 4;
+  for (const bool warm : {false, true}) {
+    f.ckt.set_fault_plan(FaultPlan::parse("stall@0x2"));
+    DCAnalysis dc(f.ckt, opts);
+    const auto sol = dc.solve(warm ? &guess : nullptr);
+    ASSERT_TRUE(sol.has_value()) << dc.last_diagnostics().describe();
+    EXPECT_EQ(dc.last_diagnostics().stage, RecoveryStage::kSourceRamp);
+    // Ramped from zero, the symmetric latch may settle at its metastable
+    // point; either way both nodes sit within the rails.
+    for (const NodeId n : {f.q, f.qb}) {
+      EXPECT_GE(sol->node_voltage(n), -1e-3);
+      EXPECT_LE(sol->node_voltage(n), 0.901);
+    }
+  }
+}
+
+TEST(FaultInjection, TransientStallRecoveredBySourceRamp) {
+  // Stall the first step (solve 1), the ladder's plain retry (solve 2) and
+  // its first gmin rung (solve 3): the source ramp salvages the step.
+  Circuit ckt;
+  const auto n = ckt.node("n");
+  ckt.add<VSource>("V1", n, kGround, SourceSpec::dc(1.0));
+  ckt.add<Resistor>("R1", n, ckt.node("out"), 1e3);
+  ckt.add<Capacitor>("C1", ckt.find_node("out"), kGround, 1e-12);
+  ckt.set_fault_plan(FaultPlan::parse("stall@1x3"));
+  TranOptions opt;
+  opt.t_stop = 20e-9;
+  opt.dt_initial = 1e-10;
+  opt.dt_min = 0.5e-10;
+  TranAnalysis tran(ckt, opt, {Probe::node_voltage(ckt.find_node("out"), "out")});
+  const auto wave = tran.run();
+  EXPECT_EQ(tran.stats().source_recoveries, 1u);
+  EXPECT_EQ(tran.stats().gmin_recoveries, 0u);
   EXPECT_NEAR(wave.value_at("out", 19e-9), 1.0, 0.01);
 }
 

@@ -71,23 +71,6 @@ TEST(Structure, DeficientPatternNamesTheDefect) {
   EXPECT_EQ(m.unmatched_cols()[0], 2u);
 }
 
-TEST(Structure, DulmageMendelsohnImplicatesAlternatingReachableSet) {
-  // Rows 1 and 2 both depend only on column 0: one of them stays unmatched
-  // and DM must implicate BOTH rows (they compete for the same unknown).
-  const auto p = pattern_of(3, {{0, 0}, {0, 1}, {0, 2}, {1, 0}, {2, 0}});
-  const auto m = linalg::maximum_matching(p);
-  EXPECT_EQ(m.size, 2u);
-  const auto dm = linalg::dulmage_mendelsohn(p, m);
-  EXPECT_EQ(dm.overdetermined_rows.size(), 2u);
-  EXPECT_TRUE(std::count(dm.overdetermined_rows.begin(),
-                         dm.overdetermined_rows.end(), 1u));
-  EXPECT_TRUE(std::count(dm.overdetermined_rows.begin(),
-                         dm.overdetermined_rows.end(), 2u));
-  // The contested unknown is column 0.
-  ASSERT_EQ(dm.overdetermined_cols.size(), 1u);
-  EXPECT_EQ(dm.overdetermined_cols[0], 0u);
-}
-
 TEST(Structure, ConnectedComponentsSplitsIndependentBlocks) {
   const auto p = pattern_of(4, {{0, 0}, {0, 1}, {1, 0}, {2, 2}, {3, 3}});
   const auto c = linalg::connected_components(p);
@@ -386,7 +369,7 @@ TEST(StructureLint, AllShippedNetlistsAreStructurallyClean) {
           << entry.path() << " trips " << rule << ":\n" << report.format();
     }
   }
-  EXPECT_GE(seen, 5u);
+  EXPECT_GE(seen, 4u);
 }
 
 TEST(StructureLint, TestbenchCircuitsAreStructurallyClean) {
