@@ -26,16 +26,26 @@ void CircuitGraph::unite(std::vector<std::size_t>& parent, std::size_t a,
 
 CircuitGraph::CircuitGraph(const spice::Circuit& circuit) {
   const std::size_t n = circuit.node_count();
-  pins_.resize(n);
+  // Pin lists: count per node, then fill in device order.
+  pin_offsets_.assign(n + 1, 0);
+  for (const auto& dev : circuit.devices()) {
+    for (const auto& term : dev->terminals()) ++pin_offsets_[term.node + 1];
+  }
+  for (std::size_t i = 0; i < n; ++i) pin_offsets_[i + 1] += pin_offsets_[i];
+  pins_.resize(pin_offsets_[n]);
+  std::vector<std::size_t> next(pin_offsets_.begin(), pin_offsets_.end() - 1);
+  for (const auto& dev : circuit.devices()) {
+    for (const auto& term : dev->terminals()) {
+      pins_[next[term.node]++] = {dev.get(), term.role};
+    }
+  }
+
   dc_parent_.resize(n);
   std::iota(dc_parent_.begin(), dc_parent_.end(), 0);
   std::vector<std::size_t> v_parent(n);
   std::iota(v_parent.begin(), v_parent.end(), 0);
 
   for (const auto& dev : circuit.devices()) {
-    for (const auto& term : dev->terminals()) {
-      pins_[term.node].push_back({dev.get(), term.role});
-    }
     for (const auto& [a, b] : dev->dc_paths()) {
       unite(dc_parent_, a, b);
     }

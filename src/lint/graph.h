@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "spice/circuit.h"
@@ -28,9 +29,14 @@ class CircuitGraph {
  public:
   explicit CircuitGraph(const spice::Circuit& circuit);
 
-  std::size_t node_count() const { return pins_.size(); }
-  std::size_t degree(spice::NodeId n) const { return pins_[n].size(); }
-  const std::vector<PinRef>& pins(spice::NodeId n) const { return pins_[n]; }
+  std::size_t node_count() const { return pin_offsets_.size() - 1; }
+  std::size_t degree(spice::NodeId n) const {
+    return pin_offsets_[n + 1] - pin_offsets_[n];
+  }
+  // The pins on `n`, in device order and each device's terminal order.
+  std::span<const PinRef> pins(spice::NodeId n) const {
+    return {pins_.data() + pin_offsets_[n], degree(n)};
+  }
 
   // True if `n` reaches ground through DC-conducting devices.
   bool dc_reaches_ground(spice::NodeId n) const {
@@ -57,7 +63,9 @@ class CircuitGraph {
   static void unite(std::vector<std::size_t>& parent, std::size_t a,
                     std::size_t b);
 
-  std::vector<std::vector<PinRef>> pins_;
+  // Node n's pins are pins_[pin_offsets_[n] .. pin_offsets_[n + 1]).
+  std::vector<std::size_t> pin_offsets_;
+  std::vector<PinRef> pins_;
   std::vector<std::size_t> dc_parent_;
   std::vector<const spice::Device*> loop_closers_;
 };

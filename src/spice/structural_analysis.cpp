@@ -1,6 +1,7 @@
 #include "spice/structural_analysis.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_map>
 
 namespace nvsram::spice {
@@ -16,6 +17,49 @@ std::string unknown_name(const Circuit& ckt, std::size_t u,
                          const std::vector<const Device*>& branch_owner) {
   if (u < node_unknowns) return "V(" + ckt.node_name(u + 1) + ")";
   return "I(" + branch_owner[u - node_unknowns]->name() + ")";
+}
+
+// Key -> device indices in one offsets array and one entries array.
+struct Table {
+  std::vector<std::size_t> offsets;  // keys + 1
+  std::vector<std::size_t> entries;
+  std::span<const std::size_t> operator[](std::size_t key) const {
+    return {entries.data() + offsets[key], offsets[key + 1] - offsets[key]};
+  }
+};
+
+// Builds a Table over `keys` keys from `for_each_key(i, add)`, which calls
+// add(key) for each key device i touches.  A device is listed once per key
+// however often it touches it.  Two passes, count then fill, so the table
+// costs a fixed number of allocations however many keys it has.
+template <typename ForEachKey>
+Table device_table(std::size_t keys, std::size_t device_count,
+                   ForEachKey&& for_each_key) {
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  Table table;
+  table.offsets.assign(keys + 1, 0);
+  std::vector<std::size_t> last(keys, kNone);  // last device listed per key
+  for (std::size_t i = 0; i < device_count; ++i) {
+    for_each_key(i, [&](std::size_t key) {
+      if (last[key] == i) return;
+      last[key] = i;
+      ++table.offsets[key + 1];
+    });
+  }
+  for (std::size_t k = 0; k < keys; ++k) {
+    table.offsets[k + 1] += table.offsets[k];
+  }
+  table.entries.resize(table.offsets[keys]);
+  std::vector<std::size_t> next(table.offsets.begin(), table.offsets.end() - 1);
+  last.assign(keys, kNone);
+  for (std::size_t i = 0; i < device_count; ++i) {
+    for_each_key(i, [&](std::size_t key) {
+      if (last[key] == i) return;
+      last[key] = i;
+      table.entries[next[key]++] = i;
+    });
+  }
+  return table;
 }
 
 }  // namespace
@@ -51,31 +95,30 @@ StructuralReport analyze_structure(const Circuit& circuit, bool dc) {
   }
   report.pattern = linalg::SparsityPattern::from_triplets(n, builder.triplets());
 
-  // Row / column -> stamping devices (device indices, deduplicated).
-  std::vector<std::vector<std::size_t>> row_devs(n), col_devs(n);
-  for (std::size_t i = 0; i < devices.size(); ++i) {
+  // Row / column -> stamping devices, and node -> attached devices (used
+  // when a defective row/column has no stamping device at all, e.g. an
+  // insulated FET gate at DC): device indices in device order, each device
+  // once per row, column or node.
+  const Table row_devs = device_table(n, devices.size(), [&](std::size_t i,
+                                                             auto&& add) {
     for (std::size_t t = stamped[i].first; t < stamped[i].second; ++t) {
-      const auto& trip = builder.triplets()[t];
-      if (row_devs[trip.row].empty() || row_devs[trip.row].back() != i) {
-        row_devs[trip.row].push_back(i);
-      }
-      if (col_devs[trip.col].empty() || col_devs[trip.col].back() != i) {
-        col_devs[trip.col].push_back(i);
-      }
+      add(builder.triplets()[t].row);
     }
-  }
-  // Node -> attached devices (used when a defective row/column has no
-  // stamping device at all, e.g. an insulated FET gate at DC).
-  std::vector<std::vector<std::size_t>> node_devs(circuit.node_count());
-  for (std::size_t i = 0; i < devices.size(); ++i) {
-    for (const TerminalRef& t : devices[i]->terminals()) {
-      auto& v = node_devs[t.node];
-      if (v.empty() || v.back() != i) v.push_back(i);
+  });
+  const Table col_devs = device_table(n, devices.size(), [&](std::size_t i,
+                                                             auto&& add) {
+    for (std::size_t t = stamped[i].first; t < stamped[i].second; ++t) {
+      add(builder.triplets()[t].col);
     }
-  }
+  });
+  const Table node_devs = device_table(
+      circuit.node_count(), devices.size(), [&](std::size_t i, auto&& add) {
+        for (const TerminalRef& t : devices[i]->terminals()) add(t.node);
+      });
   auto culprit_names = [&](std::size_t index, bool row) {
-    std::vector<std::size_t> ids = row ? row_devs[index] : col_devs[index];
-    if (ids.empty() && index < node_unknowns) ids = node_devs[index + 1];
+    std::span<const std::size_t> devs = (row ? row_devs : col_devs)[index];
+    if (devs.empty() && index < node_unknowns) devs = node_devs[index + 1];
+    std::vector<std::size_t> ids(devs.begin(), devs.end());
     std::sort(ids.begin(), ids.end());
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
     std::vector<std::string> names;

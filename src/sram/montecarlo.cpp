@@ -4,6 +4,8 @@
 #include <cmath>
 #include <memory>
 
+#include "util/seed_seq_mt.h"
+
 namespace nvsram::sram {
 
 MonteCarlo::MonteCarlo(models::PaperParams pp, VariationSpec spec)
@@ -13,15 +15,13 @@ FetVary MonteCarlo::draw_fet_vary() {
   // Materialize one mismatch draw per call site: each device gets its own
   // deviate, deterministic per (seed, call order, device name hash) so a
   // sample is reproducible regardless of device instantiation order.
-  std::normal_distribution<double> gauss;
   const unsigned sample_seed = rng_();
   const double vth_sigma = spec_.vth_sigma;
   const double kp_sigma = spec_.kp_rel_sigma;
   return [sample_seed, vth_sigma, kp_sigma](const std::string& name,
                                             models::FinFETParams& params) {
-    std::seed_seq seq{sample_seed, static_cast<unsigned>(
-                                       std::hash<std::string>{}(name))};
-    std::mt19937 dev_rng(seq);
+    util::SeedSeqMt19937 dev_rng(
+        sample_seed, static_cast<unsigned>(std::hash<std::string>{}(name)));
     std::normal_distribution<double> g;
     params.vth0 += vth_sigma * g(dev_rng);
     params.kp *= std::max(0.2, 1.0 + kp_sigma * g(dev_rng));
@@ -34,9 +34,8 @@ MtjVary MonteCarlo::draw_mtj_vary() {
   const double jc_sigma = spec_.jc_rel_sigma;
   return [sample_seed, ra_sigma, jc_sigma](const std::string& name,
                                            models::MTJParams& params) {
-    std::seed_seq seq{sample_seed + 1u, static_cast<unsigned>(
-                                            std::hash<std::string>{}(name))};
-    std::mt19937 dev_rng(seq);
+    util::SeedSeqMt19937 dev_rng(
+        sample_seed + 1u, static_cast<unsigned>(std::hash<std::string>{}(name)));
     std::normal_distribution<double> g;
     params.ra_product *= std::max(0.3, 1.0 + ra_sigma * g(dev_rng));
     params.jc *= std::max(0.3, 1.0 + jc_sigma * g(dev_rng));

@@ -1,8 +1,11 @@
 #include "sram/snm.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "spice/dc.h"
 #include "spice/elements.h"
@@ -80,6 +83,62 @@ std::vector<std::pair<double, double>> inverter_vtc(
 
 namespace {
 
+// A curve with the extremes of its knots to either side, for the block
+// bound of the square search.
+class BoundedCurve {
+ public:
+  explicit BoundedCurve(util::PiecewiseLinear f) : f_(std::move(f)) {
+    const auto& ys = f_.ys();
+    suffix_max_.resize(ys.size());
+    prefix_min_.resize(ys.size());
+    for (std::size_t j = ys.size(); j-- > 0;) {
+      suffix_max_[j] =
+          j + 1 < ys.size() ? std::max(ys[j], suffix_max_[j + 1]) : ys[j];
+    }
+    for (std::size_t j = 0; j < ys.size(); ++j) {
+      prefix_min_[j] = j > 0 ? std::min(ys[j], prefix_min_[j - 1]) : ys[j];
+      largest_knot_ = std::max(largest_knot_, std::fabs(ys[j]));
+      finite_ = finite_ && std::isfinite(ys[j]);
+    }
+  }
+
+  double operator()(double x, std::size_t& segment) const {
+    return f_(x, segment);
+  }
+
+  // The largest value f takes at or right of x, up to the rounding of one
+  // evaluation: the value at x or the largest knot right of it.  `segment`
+  // is a walking hint, as for operator().
+  double max_from(double x, std::size_t& segment) const {
+    if (std::isnan(x)) return x;
+    if (x <= f_.xs().front()) return suffix_max_.front();
+    if (x >= f_.xs().back()) return f_.ys().back();
+    const double y = f_(x, segment);  // segment: the first knot right of x
+    return std::max(y, suffix_max_[segment]);
+  }
+
+  // The smallest value f takes at or left of x, likewise.
+  double min_upto(double x, std::size_t& segment) const {
+    if (std::isnan(x)) return x;
+    if (x <= f_.xs().front()) return f_.ys().front();
+    if (x >= f_.xs().back()) return prefix_min_.back();
+    const double y = f_(x, segment);  // segment - 1: the last knot left of x
+    return std::min(y, prefix_min_[segment - 1]);
+  }
+
+  // The largest |knot value|, or infinity if a knot is not finite.
+  double largest_knot() const {
+    return finite_ ? largest_knot_ : std::numeric_limits<double>::infinity();
+  }
+
+ private:
+  util::PiecewiseLinear f_;
+  std::vector<double> suffix_max_;  // max of ys[j..]
+  std::vector<double> prefix_min_;  // min of ys[..j]
+  double largest_knot_ = 0.0;
+  bool finite_ = true;
+};
+
 // Largest axis-aligned square inscribed in the lobe bounded above by y=f(x)
 // and below by the mirrored curve y = f_inv(x).  Both curves are monotone
 // non-increasing, so for a square spanning [x, x+s] the top edge binds at
@@ -96,31 +155,85 @@ namespace {
 //   1. A curve evaluation walks from the segment its previous call ended on
 //      and lands on the segment upper_bound finds, so it returns the same
 //      double.
-//   2. A probe scans the grid from the index where the last square fit and
-//      wraps round to 0.  Any fitting point decides a probe, so the scan
-//      order cannot change its verdict.
+//   2. A probe first tries the grid point where the last square fit, then
+//      the rest.  Any fitting point decides a probe, so the order in which
+//      points are tried cannot change its verdict.
 //   3. hi only ever holds a side that failed, or the untried whole range.
 //      Once the midpoint rounds onto lo, no step can move lo; once it
 //      rounds onto a hi that failed, every later step repeats that failing
 //      probe.  Either way the bisection stops there.
-double largest_square(const util::PiecewiseLinear& f,
-                      const util::PiecewiseLinear& f_inv, double x_lo,
-                      double x_hi) {
+//   4. A block a..b of grid points is skipped only when
+//          upper - lower < s - slack,
+//      where upper = f.max_from(x_a + s) and lower = f_inv.min_upto(x_b),
+//      with x_a + s and x_b rounded as the point test rounds them.  Grid
+//      points do not decrease with i, so every point of the block evaluates
+//      f at or right of x_a + s, where f stays below upper, and f_inv at or
+//      left of x_b, where f_inv stays above lower, each up to the rounding
+//      of one interpolation: a few ulps of the largest |knot|.  The slack
+//      is 64 such ulps, which also covers the rounding of the bound's own
+//      arithmetic, so every point of a skipped block would compute
+//      f - f_inv < s and fail.  Knots that are not finite, or large enough
+//      for an interpolation to overflow, make the slack infinite and no
+//      block is skipped.  The bound holds for any curve, monotone or not.
+double largest_square(const BoundedCurve& f, const BoundedCurve& f_inv,
+                      double x_lo, double x_hi) {
   constexpr int kGrid = 400;
+  constexpr int kLeaf = 4;  // blocks of at most this many points are scanned
+  const double knot = std::max(f.largest_knot(), f_inv.largest_knot());
+  const double slack =
+      knot <= std::numeric_limits<double>::max() / 4
+          ? 64 * (std::nextafter(knot, std::numeric_limits<double>::infinity()) -
+                  knot)
+          : std::numeric_limits<double>::infinity();
   std::size_t f_segment = 0;
   std::size_t f_inv_segment = 0;
+  std::size_t upper_segment = 0;
+  std::size_t lower_segment = 0;
   int last_fit = 0;
   const auto fits = [&](double s) {
     // The whole square must stay inside the curves' domain: x + s <= x_hi.
     const double x_max = x_hi - s;
     if (x_max < x_lo) return false;
-    int i = last_fit;
-    for (int k = 0; k <= kGrid; ++k, i = i == kGrid ? 0 : i + 1) {
-      const double x = x_lo + (x_max - x_lo) * i / kGrid;
-      if (f(x + s, f_segment) - f_inv(x, f_inv_segment) >= s) {
-        last_fit = i;
-        return true;
+    const auto x_at = [&](int i) { return x_lo + (x_max - x_lo) * i / kGrid; };
+    const auto fits_at = [&](int i) {
+      const double x = x_at(i);
+      return f(x + s, f_segment) - f_inv(x, f_inv_segment) >= s;
+    };
+    if (fits_at(last_fit)) return true;
+    // Branch and bound, depth first: a block splits in halves until it is
+    // small enough to scan.  A left half shares its parent's upper bound and
+    // a right half its lower bound, so each split evaluates two new bounds.
+    // Each split leaves one half on the stack, so it never holds more than
+    // one block per halving of the grid.
+    struct Block {
+      int a, b;
+      double upper, lower;  // NaN until evaluated
+    };
+    constexpr double kUnknown = std::numeric_limits<double>::quiet_NaN();
+    std::array<Block, 16> blocks;
+    std::size_t top = 0;
+    blocks[top++] = {0, kGrid, kUnknown, kUnknown};
+    while (top > 0) {
+      Block blk = blocks[--top];
+      if (blk.b - blk.a < kLeaf) {
+        for (int i = blk.a; i <= blk.b; ++i) {
+          if (fits_at(i)) {
+            last_fit = i;
+            return true;
+          }
+        }
+        continue;
       }
+      if (std::isnan(blk.upper)) {
+        blk.upper = f.max_from(x_at(blk.a) + s, upper_segment);
+      }
+      if (std::isnan(blk.lower)) {
+        blk.lower = f_inv.min_upto(x_at(blk.b), lower_segment);
+      }
+      if (blk.upper - blk.lower < s - slack) continue;
+      const int mid = blk.a + (blk.b - blk.a) / 2;
+      blocks[top++] = {mid + 1, blk.b, kUnknown, blk.lower};
+      blocks[top++] = {blk.a, mid, blk.upper, kUnknown};
     }
     return false;
   };
@@ -140,10 +253,6 @@ double largest_square(const util::PiecewiseLinear& f,
   }
   return lo;
 }
-
-}  // namespace
-
-namespace {
 
 // f: vout(vin) on an increasing vin grid.
 util::PiecewiseLinear forward_curve(
@@ -185,8 +294,8 @@ SnmResult compute_snm(const std::vector<std::pair<double, double>>& vtc_a,
   if (vtc_a.size() < 3 || vtc_b.size() < 3) {
     throw std::invalid_argument("compute_snm: too few points");
   }
-  const auto fa = forward_curve(vtc_a);
-  const auto fb_inv = inverse_curve(vtc_b);
+  const BoundedCurve fa(forward_curve(vtc_a));
+  const BoundedCurve fb_inv(inverse_curve(vtc_b));
 
   const double x_lo = std::min(vtc_a.front().first, vtc_b.front().first);
   const double x_hi = std::max(vtc_a.back().first, vtc_b.back().first);

@@ -7,6 +7,13 @@
 // the largest axis-aligned square inscribed in it, found by bisection on
 // the side: a probe asks whether a square of that side fits with its left
 // edge anywhere on a 401-point grid.  The SNM is the smaller lobe.
+//
+// A probe skips each block of grid points whose bound rules a fit out: the
+// upper curve's largest value right of the block's first square, less the
+// lower curve's smallest value left of its last, falls short of the side by
+// more than a slack of 64 ulps of the largest |knot|, which covers the
+// rounding of every evaluation.  The result is, bit for bit, that of a scan
+// of every grid point, for any curve (exactness invariant 4 in snm.cpp).
 #pragma once
 
 #include "models/paper_params.h"

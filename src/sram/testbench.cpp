@@ -87,6 +87,11 @@ CellTestbench::CellTestbench(CellKind kind, models::PaperParams pp,
     ctrl_ = script_.add_driver(circuit_, "Vctrl", n_ctrl_, pp_.vctrl_normal,
                                SignalRole::kRestoreCtrl);
   }
+
+  spice::DCOptions dopt;
+  dopt.max_wall_seconds = opts_.max_wall_seconds;
+  dopt.newton = dopt.newton.relaxed(opts_.relax_attempt);
+  dc_.emplace(circuit_, dopt);
 }
 
 // ---- operations --------------------------------------------------------------
@@ -359,13 +364,7 @@ std::optional<spice::DCSolution> CellTestbench::solve_dc(
         data ? models::MtjState::kParallel : models::MtjState::kAntiparallel));
   }
   const linalg::Vector guess = dc_guess(bias, data);
-  spice::DCOptions dopt;
-  dopt.max_wall_seconds = opts_.max_wall_seconds;
-  dopt.newton = dopt.newton.relaxed(opts_.relax_attempt);
-  spice::DCAnalysis dc(circuit_, dopt);
-  auto sol = dc.solve(&guess);
-  last_dc_diag_ = dc.last_diagnostics();
-  return sol;
+  return dc_->solve(&guess);
 }
 
 double CellTestbench::static_power(StaticMode mode, bool data) {
@@ -382,7 +381,7 @@ double CellTestbench::static_power(const BiasSet& bias, bool data) {
   auto sol = solve_dc(bias, data);
   if (!sol) {
     throw spice::SolverError("CellTestbench::static_power: DC failed",
-                             last_dc_diag_);
+                             dc_->last_diagnostics());
   }
   return script_.driver_power(*sol);
 }

@@ -57,6 +57,9 @@ class CellTestbench {
  public:
   CellTestbench(CellKind kind, models::PaperParams pp,
                 TestbenchOptions opts = {});
+  // The DC analysis refers to the circuit member, so the bench stays put.
+  CellTestbench(const CellTestbench&) = delete;
+  CellTestbench& operator=(const CellTestbench&) = delete;
 
   CellKind kind() const { return kind_; }
   const models::PaperParams& paper() const { return pp_; }
@@ -130,7 +133,12 @@ class CellTestbench {
 
   // Diagnostics of the most recent solve_dc() attempt (success or failure).
   const spice::SolveDiagnostics& last_dc_diagnostics() const {
-    return last_dc_diag_;
+    return dc_->last_diagnostics();
+  }
+  // The Newton workspace every solve_dc() shares: its assembly plan and LU
+  // pivots are planned once for the bench's lifetime.
+  const spice::NewtonWorkspace& dc_workspace() const {
+    return dc_->workspace();
   }
 
   // Virtual-VDD voltage at a DC point (Fig. 4).
@@ -157,7 +165,8 @@ class CellTestbench {
   // Periphery mode has no bl_/blb_ drivers, ideal-bitline mode no pch_/wd0_/
   // wd1_, and the 6T cell no sr_/ctrl_.
   Script::TrackId vdd_, pg_, wl_, pch_, wd0_, wd1_, sr_, ctrl_, bl_, blb_;
-  spice::SolveDiagnostics last_dc_diag_;
+  // Built once every device exists; solve_dc() reuses its workspace.
+  std::optional<spice::DCAnalysis> dc_;
 };
 
 }  // namespace nvsram::sram

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -113,6 +114,13 @@ struct Seeded {
   int line;            // 1-based line of that signal in the fixture
   const char* phase;
 };
+
+// Names the case in the test's ctest name; gtest would print the struct's
+// bytes, pointers included, which change from run to run.
+void PrintTo(const Seeded& s, std::ostream* os) {
+  *os << s.file << " -> " << s.rule << " at " << s.device << ":" << s.line
+      << " in " << s.phase;
+}
 
 class DataSeeded : public ::testing::TestWithParam<Seeded> {};
 

@@ -1,6 +1,13 @@
-// Monte-Carlo mismatch analysis: reproducibility, sane distributions, and
-// the expected qualitative effects of variation knobs.
+// Monte-Carlo mismatch analysis: reproducibility, device draws bit for bit
+// against the seed_seq reference, sane distributions, and the expected
+// qualitative effects of variation knobs.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "models/paper_params.h"
 #include "sram/montecarlo.h"
@@ -99,6 +106,79 @@ TEST(MonteCarloTest, RelaxAttemptReachesSnmSweeps) {
   EXPECT_NE(read0, read1);
   EXPECT_NEAR(hold0, hold1, 1e-3);
   EXPECT_NEAR(read0, read1, 1e-3);
+}
+
+// The per-device draws as they were written before the seeded twister: a
+// std::seed_seq and a full std::mt19937 per device.  The hooks must perturb
+// every parameter to the same double.
+void reference_fet_vary(unsigned sample_seed, const VariationSpec& spec,
+                        const std::string& name, models::FinFETParams& params) {
+  std::seed_seq seq{sample_seed,
+                    static_cast<unsigned>(std::hash<std::string>{}(name))};
+  std::mt19937 dev_rng(seq);
+  std::normal_distribution<double> g;
+  params.vth0 += spec.vth_sigma * g(dev_rng);
+  params.kp *= std::max(0.2, 1.0 + spec.kp_rel_sigma * g(dev_rng));
+}
+
+void reference_mtj_vary(unsigned sample_seed, const VariationSpec& spec,
+                        const std::string& name, models::MTJParams& params) {
+  std::seed_seq seq{sample_seed + 1u,
+                    static_cast<unsigned>(std::hash<std::string>{}(name))};
+  std::mt19937 dev_rng(seq);
+  std::normal_distribution<double> g;
+  params.ra_product *= std::max(0.3, 1.0 + spec.ra_rel_sigma * g(dev_rng));
+  params.jc *= std::max(0.3, 1.0 + spec.jc_rel_sigma * g(dev_rng));
+}
+
+TEST(MonteCarloTest, DeviceDrawsMatchSeedSeqReference) {
+  const auto pp = PaperParams::table1();
+  const std::vector<std::string> names = {
+      "pu", "pd", "ax", "ps", "c.PUL", "c.PDR", "c.AXL", "c.PSR", "c.MTJQ",
+      "c.MTJQB", "", "a-much-longer-device-name-than-the-cell-uses"};
+  int compared = 0;
+  for (const unsigned seed : {0u, 1u, 12345u, 77u, 0xFFFFFFFFu}) {
+    VariationSpec spec;
+    spec.seed = seed;
+    spec.vth_sigma = 0.03;
+    spec.ra_rel_sigma = 0.4;  // large enough that some draws hit the clamp
+    MonteCarlo mc(pp, spec);
+    std::mt19937 sample_rng(seed);  // MonteCarlo's own per-draw seeds
+    for (int draw = 0; draw < 20; ++draw) {
+      const bool fet = draw % 2 == 0;
+      const unsigned sample_seed = sample_rng();
+      if (fet) {
+        const auto vary = mc.draw_fet_vary();
+        for (const auto& name : names) {
+          for (const auto& base : {pp.nmos(1), pp.pmos(2)}) {
+            auto got = base;
+            auto want = base;
+            vary(name, got);
+            reference_fet_vary(sample_seed, spec, name, want);
+            EXPECT_EQ(got.vth0, want.vth0) << seed << " " << draw << " " << name;
+            EXPECT_EQ(got.kp, want.kp) << seed << " " << draw << " " << name;
+            EXPECT_NE(got.vth0, base.vth0);
+            ++compared;
+          }
+        }
+      } else {
+        const auto vary = mc.draw_mtj_vary();
+        for (const auto& name : names) {
+          auto got = pp.mtj;
+          auto want = pp.mtj;
+          vary(name, got);
+          reference_mtj_vary(sample_seed, spec, name, want);
+          EXPECT_EQ(got.ra_product, want.ra_product)
+              << seed << " " << draw << " " << name;
+          EXPECT_EQ(got.jc, want.jc) << seed << " " << draw << " " << name;
+          EXPECT_TRUE(got == want) << seed << " " << draw << " " << name;
+          EXPECT_NE(got.ra_product, pp.mtj.ra_product);
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 5 * (10 * 12 * 2 + 10 * 12));
 }
 
 TEST(MonteCarloTest, YieldAccounting) {

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <random>
 #include <sstream>
 #include <string>
 
@@ -215,6 +216,32 @@ reference::Vtc tanh_vtc(double vdd, double vm, double gain, double x0,
   return vtc;
 }
 
+// A seeded random VTC: a tanh inverter with random supply, midpoint, gain,
+// knot count and x range.  `shape` 1 adds noise to every sample and 2 a
+// narrow bump; both make the curve non-monotone.
+reference::Vtc random_vtc(std::mt19937& rng, int shape) {
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  const double vdd = 0.6 + 0.6 * u(rng);
+  const double vm = vdd * (0.25 + 0.5 * u(rng));
+  const double gain = 3.0 + 40.0 * u(rng);
+  const double x0 = vdd * (-0.1 + 0.25 * u(rng));
+  const double x1 = vdd * (0.8 + 0.3 * u(rng));
+  const int points = 11 + static_cast<int>(290.0 * u(rng));
+  reference::Vtc vtc = tanh_vtc(vdd, vm, gain, x0, x1, points);
+  if (shape == 1) {
+    const double amplitude = 0.05 * vdd * u(rng);
+    for (auto& [x, y] : vtc) y += amplitude * (2.0 * u(rng) - 1.0);
+  } else if (shape == 2) {
+    const double at = x0 + (x1 - x0) * u(rng);
+    const double half_width = (x1 - x0) * (0.005 + 0.05 * u(rng));
+    const double height = vdd * (0.2 + 0.8 * u(rng));
+    for (auto& [x, y] : vtc) {
+      if (std::fabs(x - at) <= half_width) y += height;
+    }
+  }
+  return vtc;
+}
+
 TEST(SnmExact, MatchesBisectionReference) {
   // The synthetic curves of this file.
   EXPECT_EQ(snm_mismatch(step_vtc(1.0, 0.5), step_vtc(1.0, 0.5)), "");
@@ -264,6 +291,21 @@ TEST(SnmExact, MatchesBisectionReference) {
   }
   EXPECT_EQ(snm_mismatch(above, middle), "");
   EXPECT_EQ(bits(compute_snm(above, middle).lobe_high), bits(1.0));
+
+  // Seeded random mismatched pairs: every combination of smooth, noisy
+  // and bumped curves, 25 pairs each.
+  std::mt19937 rng(20261018);
+  int open_lobes = 0;
+  for (int pair = 0; pair < 225; ++pair) {
+    const int shape_a = pair % 3;
+    const int shape_b = (pair / 3) % 3;
+    const auto a = random_vtc(rng, shape_a);
+    const auto b = random_vtc(rng, shape_b);
+    EXPECT_EQ(snm_mismatch(a, b), "")
+        << "pair " << pair << ", shapes " << shape_a << "/" << shape_b;
+    if (compute_snm(a, b).snm > 0.0) ++open_lobes;
+  }
+  EXPECT_GT(open_lobes, 150);  // most pairs open both lobes
 
   // Mismatched Monte-Carlo pairs of both cells, hold and read.
   const auto pp = models::PaperParams::table1();

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -375,6 +376,12 @@ struct SeededCase {
   const char* file;
   const char* rule;
 };
+
+// Names the case in the test's ctest name; gtest would print the struct's
+// bytes, pointers included, which change from run to run.
+void PrintTo(const SeededCase& c, std::ostream* os) {
+  *os << c.file << " -> " << c.rule;
+}
 
 class SeededViolation : public ::testing::TestWithParam<SeededCase> {};
 

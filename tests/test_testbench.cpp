@@ -1,5 +1,6 @@
 // Testbench mechanics: the shared Script (tracks, phases, run, energy
-// accounting) and CellTestbench's scheduling, bias sets and energy windows.
+// accounting) and CellTestbench's scheduling, bias sets, energy windows and
+// the one DC workspace its operating points share.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -255,6 +256,61 @@ TEST(Testbench, StatsExposeSolverWork) {
   auto res = tb.run();
   EXPECT_GT(res.stats.accepted_steps, 50u);
   EXPECT_GT(res.stats.total_newton_iterations, res.stats.accepted_steps);
+}
+
+// ---- DC solves on the bench's one workspace ----
+
+TEST(Testbench, RepeatDcSolvePlansOnce) {
+  CellTestbench tb(CellKind::kNvSram, PaperParams::table1(),
+                   TestbenchOptions{.ideal_bitlines = true});
+  ASSERT_TRUE(tb.solve_dc(tb.bias_normal(), true));
+  const spice::NewtonWorkspace& ws = tb.dc_workspace();
+  const std::size_t plans = ws.plan_count;
+  const std::size_t pivot_plans = ws.pivot_plan_count;
+  EXPECT_GE(plans, 1u);
+  EXPECT_GE(pivot_plans, 1u);
+  ASSERT_TRUE(tb.solve_dc(tb.bias_normal(), true));
+  EXPECT_EQ(ws.plan_count, plans);
+  EXPECT_EQ(ws.pivot_plan_count, pivot_plans);
+}
+
+TEST(Testbench, SharedDcWorkspaceMatchesFreshBench) {
+  // Operating points solved one after another on one bench equal, bit for
+  // bit, those of a fresh bench per bias, in either order.
+  using Bias = CellTestbench::BiasSet (CellTestbench::*)() const;
+  const std::vector<std::pair<const char*, Bias>> biases = {
+      {"normal", &CellTestbench::bias_normal},
+      {"sleep", &CellTestbench::bias_sleep},
+      {"shutdown", &CellTestbench::bias_shutdown},
+      {"store_h", &CellTestbench::bias_store_h},
+      {"store_l", &CellTestbench::bias_store_l}};
+  const auto pp = PaperParams::table1();
+  for (const CellKind kind : {CellKind::k6T, CellKind::kNvSram}) {
+    for (const bool ideal : {true, false}) {
+      const TestbenchOptions opts{.ideal_bitlines = ideal};
+      for (const bool data : {true, false}) {
+        std::vector<linalg::Vector> fresh;
+        for (const auto& [name, bias] : biases) {
+          CellTestbench tb(kind, pp, opts);
+          const auto sol = tb.solve_dc((tb.*bias)(), data);
+          ASSERT_TRUE(sol) << name;
+          fresh.push_back(sol->raw());
+        }
+        for (const bool reverse : {false, true}) {
+          CellTestbench tb(kind, pp, opts);
+          for (std::size_t k = 0; k < biases.size(); ++k) {
+            const std::size_t i = reverse ? biases.size() - 1 - k : k;
+            const auto sol = tb.solve_dc((tb.*biases[i].second)(), data);
+            ASSERT_TRUE(sol) << biases[i].first;
+            EXPECT_TRUE(sol->raw() == fresh[i])
+                << (kind == CellKind::k6T ? "6T " : "NV ")
+                << (ideal ? "ideal " : "periphery ") << biases[i].first
+                << ", data " << data << (reverse ? ", reversed" : "");
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

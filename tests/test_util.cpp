@@ -1,4 +1,5 @@
-// Utility module tests: formatting, CSV, root finding, interpolation, stats.
+// Utility module tests: formatting, CSV, root finding, interpolation, the
+// seeded Mersenne twister, stats.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include "util/csv.h"
 #include "util/interp.h"
 #include "util/rootfind.h"
+#include "util/seed_seq_mt.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/units.h"
@@ -217,6 +219,39 @@ TEST(TrapezoidIntegral, MatchesAnalytic) {
     ys.push_back(x * x);
   }
   EXPECT_NEAR(trapezoid_integral(xs, ys), 1.0 / 3.0, 1e-6);
+}
+
+// ---- seeded Mersenne twister ----
+
+TEST(SeedSeqMt19937Test, MatchesStdEngineThroughTheHandover) {
+  // 300 outputs cross output 227, where the engine hands over to a real
+  // std::mt19937.
+  constexpr std::uint32_t kMax = 0xFFFFFFFFu;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> seeds;
+  for (const std::uint32_t a : {0u, 1u, 2u, 0x80000000u, kMax}) {
+    for (const std::uint32_t b : {0u, 1u, 2u, 0x80000000u, kMax}) {
+      seeds.emplace_back(a, b);
+    }
+  }
+  std::mt19937 pick(2024);
+  while (seeds.size() < 1100) {
+    const auto a = static_cast<std::uint32_t>(pick());
+    seeds.emplace_back(a, static_cast<std::uint32_t>(pick()));
+  }
+  for (const auto& [a, b] : seeds) {
+    std::seed_seq seq{a, b};
+    std::mt19937 want(seq);
+    SeedSeqMt19937 got(a, b);
+    for (int k = 0; k < 300; ++k) {
+      const auto w = want();
+      const auto g = got();
+      if (g != w) {
+        ADD_FAILURE() << "seed {" << a << ", " << b << "}, output " << k
+                      << ": " << g << " != " << w;
+        break;
+      }
+    }
+  }
 }
 
 // ---- stats ----
