@@ -1,5 +1,7 @@
 #include "core/analyzer.h"
 
+#include <future>
+
 #include "sram/characterize_cache.h"
 #include "util/watchdog.h"
 
@@ -9,16 +11,22 @@ PowerGatingAnalyzer::PowerGatingAnalyzer(models::PaperParams pp,
                                          double max_wall_seconds,
                                          int relax_attempt)
     : pp_(pp) {
-  // Both cell characterizations share one wall-clock budget; the second one
-  // only gets whatever the first left over.  Goes through the process-wide
-  // cache: sweeps building many analyzers at the same parameter point pay
-  // for the SPICE characterization once.
+  // The two characterizations share nothing but the process-wide cache,
+  // which is thread safe and keeps one entry per cell kind, so the NV-SRAM
+  // cell runs on a second thread while this one runs the 6T cell, both
+  // against the one phase deadline.  Through the cache, sweeps building
+  // many analyzers at the same parameter point pay for the SPICE
+  // characterization once.
   const util::Deadline phase(max_wall_seconds);
-  cell_6t_ = sram::characterize_cached(pp_, sram::CellKind::k6T,
-                                       phase.remaining_seconds(), relax_attempt);
-  phase.check("PowerGatingAnalyzer: characterization");
-  cell_nv_ = sram::characterize_cached(pp_, sram::CellKind::kNvSram,
-                                       phase.remaining_seconds(), relax_attempt);
+  auto nv = std::async(std::launch::async, [this, &phase, relax_attempt] {
+    return sram::characterize_cached(pp_, sram::CellKind::kNvSram,
+                                     phase.remaining_seconds(), relax_attempt);
+  });
+  // If the 6T cell throws, the future's destructor waits for the NV-SRAM
+  // thread and drops its result or error: the 6T cell's error surfaces.
+  cell_6t_ = sram::characterize_cached(
+      pp_, sram::CellKind::k6T, phase.remaining_seconds(), relax_attempt);
+  cell_nv_ = nv.get();
   model_ = std::make_unique<EnergyModel>(cell_6t_, cell_nv_);
 }
 

@@ -15,11 +15,15 @@ class PowerGatingAnalyzer {
   // Characterizes both cells with SPICE at construction (a few transients
   // and DC solves; about 0.1 s cold in a Release build — amortized through
   // the process-wide cache in sram/characterize_cache.h, so repeated
-  // analyzers at the same parameter point are cheap).  `max_wall_seconds` bounds the
-  // whole characterization phase (both cells share one wall-clock budget);
-  // expiry throws util::WatchdogError.  0 = unlimited.  Sweep points that
-  // build analyzers should pass their PointContext::timeout_sec here so the
-  // runner's watchdog covers the SPICE-characterization phase too.
+  // analyzers at the same parameter point are cheap).  The NV-SRAM cell is
+  // characterized on a second thread while the calling thread
+  // characterizes the 6T cell; the results are bit for bit those of two
+  // CellCharacterizer::characterize calls.  When both throw, the 6T cell's
+  // exception propagates.  `max_wall_seconds` bounds the whole
+  // characterization phase: both cells run against one wall-clock deadline,
+  // and expiry throws util::WatchdogError.  0 = unlimited.  Sweep points
+  // that build analyzers should pass their PointContext::timeout_sec here
+  // so the runner's watchdog covers the SPICE-characterization phase too.
   // `relax_attempt` is forwarded to both CellCharacterizers (shared
   // relaxation ladder); retry callbacks pass PointContext::attempt.
   explicit PowerGatingAnalyzer(models::PaperParams pp,

@@ -37,8 +37,10 @@ TranAnalysis::TranAnalysis(Circuit& circuit, TranOptions options,
       layout_(circuit.build_layout()) {}
 
 double TranAnalysis::source_energy(const std::string& name) const {
-  const auto it = energies_.find(name);
-  return it == energies_.end() ? 0.0 : it->second;
+  for (std::size_t i = 0; i < sources_.size(); ++i) {
+    if (sources_[i]->name() == name) return energies_[i];
+  }
+  return 0.0;
 }
 
 Waveform TranAnalysis::run(const DCSolution* initial) {
@@ -70,10 +72,11 @@ Waveform TranAnalysis::run(const DCSolution* initial) {
   }
 
   // ---- collect sources for energy accounting, and breakpoints ----
-  std::vector<VSource*> sources;
+  sources_.clear();
   for (const auto& dev : circuit_.devices()) {
-    if (auto* vs = device_cast<VSource>(dev.get())) sources.push_back(vs);
+    if (auto* vs = device_cast<VSource>(dev.get())) sources_.push_back(vs);
   }
+  energies_.assign(sources_.size(), 0.0);
   std::vector<double> bp_raw;
   for (const auto& dev : circuit_.devices()) {
     dev->breakpoints(options_.t_stop, bp_raw);
@@ -87,19 +90,25 @@ Waveform TranAnalysis::run(const DCSolution* initial) {
   for (const auto& p : probes_) labels.push_back(p.label);
   Waveform wave(std::move(labels));
 
-  energies_.clear();
-  for (auto* vs : sources) energies_[vs->name()] = 0.0;
-  std::vector<double> power_prev(sources.size());
+  std::vector<double> power_prev(sources_.size());
+
+  // Each energy probe's position in sources_, resolved by name once;
+  // sources_.size() for a probe of no source in the run (it reads 0).
+  std::vector<std::size_t> energy_slot(probes_.size(), sources_.size());
+  for (std::size_t k = 0; k < probes_.size(); ++k) {
+    if (probes_[k].kind != Probe::Kind::kSourceEnergy) continue;
+    for (std::size_t i = 0; i < sources_.size(); ++i) {
+      if (sources_[i]->name() == probes_[k].device->name()) energy_slot[k] = i;
+    }
+  }
 
   auto record = [&](double t, const SolutionView& view) {
     std::vector<double> values;
     values.reserve(probes_.size());
-    for (const auto& p : probes_) {
-      double energy = 0.0;
-      if (p.kind == Probe::Kind::kSourceEnergy) {
-        energy = energies_[p.device->name()];
-      }
-      values.push_back(evaluate_probe(p, view, t, energy));
+    for (std::size_t k = 0; k < probes_.size(); ++k) {
+      const std::size_t slot = energy_slot[k];
+      const double energy = slot < sources_.size() ? energies_[slot] : 0.0;
+      values.push_back(evaluate_probe(probes_[k], view, t, energy));
     }
     wave.append(t, values);
   };
@@ -107,8 +116,8 @@ Waveform TranAnalysis::run(const DCSolution* initial) {
   double t = 0.0;
   {
     SolutionView view(x, layout_);
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      power_prev[i] = sources[i]->delivered_power(view, t);
+    for (std::size_t i = 0; i < sources_.size(); ++i) {
+      power_prev[i] = sources_[i]->delivered_power(view, t);
     }
     record(t, view);
   }
@@ -222,9 +231,9 @@ Waveform TranAnalysis::run(const DCSolution* initial) {
     }
 
     // Energy accumulation (trapezoid on delivered power).
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      const double p_now = sources[i]->delivered_power(view, t_new);
-      energies_[sources[i]->name()] += 0.5 * (p_now + power_prev[i]) * dt_try;
+    for (std::size_t i = 0; i < sources_.size(); ++i) {
+      const double p_now = sources_[i]->delivered_power(view, t_new);
+      energies_[i] += 0.5 * (p_now + power_prev[i]) * dt_try;
       power_prev[i] = p_now;
     }
 

@@ -14,7 +14,8 @@
 #pragma once
 
 #include <optional>
-#include <unordered_map>
+#include <string>
+#include <vector>
 
 #include "spice/circuit.h"
 #include "spice/dc.h"
@@ -69,12 +70,9 @@ class TranAnalysis {
 
   const TranStats& stats() const { return stats_; }
 
-  // Total energy delivered by a voltage source over the whole run
-  // (available after run(); keyed by device name).
+  // Total energy delivered by the voltage source named `name` over the whole
+  // run (available after run(); 0 for a name no source of the run has).
   double source_energy(const std::string& name) const;
-  const std::unordered_map<std::string, double>& source_energies() const {
-    return energies_;
-  }
 
  private:
   Circuit& circuit_;
@@ -82,7 +80,10 @@ class TranAnalysis {
   std::vector<Probe> probes_;
   MnaLayout layout_;
   TranStats stats_;
-  std::unordered_map<std::string, double> energies_;
+  // The circuit's voltage sources, in device order, and the energy each has
+  // delivered so far, at the same position.
+  std::vector<const VSource*> sources_;
+  std::vector<double> energies_;
   // Assembly plan and LU analysis shared by every Newton solve of the run
   // (the stamp sequence is fixed per circuit, so each is computed once).
   NewtonWorkspace ws_;

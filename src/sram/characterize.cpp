@@ -86,56 +86,64 @@ CellEnergetics CellCharacterizer::characterize(CellKind kind) const {
   out.t_clk = pp_.clock_period();
 
   // ---- transient script: writes, reads, (store, shutdown, restore) ----
-  CellTestbench tb(
-      kind, pp_,
-      TestbenchOptions{.max_wall_seconds = remaining("characterize: op script"),
-                       .relax_attempt = relax_attempt_});
-  tb.op_write(true);
-  tb.op_write(false);
-  tb.op_write(true);   // measured write (steady-state bitline toggling)
-  tb.op_read();        // warm-up read
-  tb.op_read();        // measured read
-  tb.op_idle(2e-9);
-  if (kind == CellKind::kNvSram) {
-    tb.op_store();
-    // Long enough for virtual VDD to collapse fully so the restore genuinely
-    // recovers data from the MTJs rather than from residual node charge.
-    tb.op_shutdown(3e-6);
-    tb.op_restore();
+  // Scoped: the testbench and the recorded waveform (the NV-SRAM script's
+  // is thousands of samples of every probe) are freed before the sleep
+  // script builds its own.
+  {
+    CellTestbench tb(
+        kind, pp_,
+        TestbenchOptions{
+            .max_wall_seconds = remaining("characterize: op script"),
+            .relax_attempt = relax_attempt_});
+    tb.op_write(true);
+    tb.op_write(false);
+    tb.op_write(true);   // measured write (steady-state bitline toggling)
+    tb.op_read();        // warm-up read
+    tb.op_read();        // measured read
     tb.op_idle(2e-9);
-  }
-  gate_schedule(tb, relax_attempt_);
-  auto res = tb.run();
-  out.gmin_recoveries += res.stats.gmin_recoveries;
-  out.source_recoveries += res.stats.source_recoveries;
+    if (kind == CellKind::kNvSram) {
+      tb.op_store();
+      // Long enough for virtual VDD to collapse fully so the restore
+      // genuinely recovers data from the MTJs rather than from residual node
+      // charge.
+      tb.op_shutdown(3e-6);
+      tb.op_restore();
+      tb.op_idle(2e-9);
+    }
+    gate_schedule(tb, relax_attempt_);
+    auto res = tb.run();
+    out.gmin_recoveries += res.stats.gmin_recoveries;
+    out.source_recoveries += res.stats.source_recoveries;
 
-  const auto& wr = res.phase("write1", 1);
-  out.e_write = res.energy(wr);
-  const auto& rd = res.phase("read", 1);
-  out.e_read = res.energy(rd);
+    const auto& wr = res.phase("write1", 1);
+    out.e_write = res.energy(wr);
+    const auto& rd = res.phase("read", 1);
+    out.e_read = res.energy(rd);
 
-  if (kind == CellKind::kNvSram) {
-    const auto& sh = res.phase("store_h");
-    const auto& sl = res.phase("store_l");
-    out.e_store = res.energy(sh.t0, sl.t1);
-    out.t_store = sl.t1 - sh.t0;
-    const auto& rs = res.phase("restore");
-    out.e_restore = res.energy(rs);
-    out.t_restore = rs.duration();
+    if (kind == CellKind::kNvSram) {
+      const auto& sh = res.phase("store_h");
+      const auto& sl = res.phase("store_l");
+      out.e_store = res.energy(sh.t0, sl.t1);
+      out.t_store = sl.t1 - sh.t0;
+      const auto& rs = res.phase("restore");
+      out.e_restore = res.energy(rs);
+      out.t_restore = rs.duration();
 
-    // Store verification: last written data was 1 (Q high), so the Q-side
-    // MTJ must be AP and the QB-side P after the store.
-    out.store_verified =
-        tb.mtj_q()->state() == models::MtjState::kAntiparallel &&
-        tb.mtj_qb()->state() == models::MtjState::kParallel;
-    // Restore verification: virtual VDD must have collapsed during the
-    // shutdown and Q must come back high.
-    const auto& sd = res.phase("shutdown");
-    const double vv_end = res.wave.value_at("V(VVDD)", sd.t1 - 1e-9);
-    const double q_final = res.wave.value_at("V(Q)", tb.now() - 0.5e-9);
-    const double qb_final = res.wave.value_at("V(QB)", tb.now() - 0.5e-9);
-    out.restore_verified = vv_end < 0.25 * pp_.vdd &&
-                           q_final > 0.8 * pp_.vdd && qb_final < 0.2 * pp_.vdd;
+      // Store verification: last written data was 1 (Q high), so the Q-side
+      // MTJ must be AP and the QB-side P after the store.
+      out.store_verified =
+          tb.mtj_q()->state() == models::MtjState::kAntiparallel &&
+          tb.mtj_qb()->state() == models::MtjState::kParallel;
+      // Restore verification: virtual VDD must have collapsed during the
+      // shutdown and Q must come back high.
+      const auto& sd = res.phase("shutdown");
+      const double vv_end = res.wave.value_at("V(VVDD)", sd.t1 - 1e-9);
+      const double q_final = res.wave.value_at("V(Q)", tb.now() - 0.5e-9);
+      const double qb_final = res.wave.value_at("V(QB)", tb.now() - 0.5e-9);
+      out.restore_verified = vv_end < 0.25 * pp_.vdd &&
+                             q_final > 0.8 * pp_.vdd &&
+                             qb_final < 0.2 * pp_.vdd;
+    }
   }
 
   // ---- sleep transition energy (separate short script) ----

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "core/analyzer.h"
+#include "lint/report.h"
+#include "sram/characterize.h"
+#include "sram/characterize_cache.h"
 #include "util/stats.h"
 #include "util/watchdog.h"
 
@@ -143,6 +146,59 @@ TEST(AnalyzerFast, Fig9bFastTechnologyShrinksBet) {
   const auto bet_fast = fast.model().break_even_time(Architecture::kNVPG, base);
   ASSERT_TRUE(bet_slow && bet_fast);
   EXPECT_LT(*bet_fast, 0.6 * *bet_slow);
+}
+
+// Every field, by ==: the concurrent characterization must not move a bit.
+void expect_same_cell(const sram::CellEnergetics& a,
+                      const sram::CellEnergetics& b) {
+  EXPECT_EQ(a.t_clk, b.t_clk);
+  EXPECT_EQ(a.e_read, b.e_read);
+  EXPECT_EQ(a.e_write, b.e_write);
+  EXPECT_EQ(a.p_static_normal, b.p_static_normal);
+  EXPECT_EQ(a.p_static_sleep, b.p_static_sleep);
+  EXPECT_EQ(a.p_static_shutdown, b.p_static_shutdown);
+  EXPECT_EQ(a.e_store, b.e_store);
+  EXPECT_EQ(a.t_store, b.t_store);
+  EXPECT_EQ(a.e_restore, b.e_restore);
+  EXPECT_EQ(a.t_restore, b.t_restore);
+  EXPECT_EQ(a.e_sleep_transition, b.e_sleep_transition);
+  EXPECT_EQ(a.store_verified, b.store_verified);
+  EXPECT_EQ(a.restore_verified, b.restore_verified);
+  EXPECT_EQ(a.gmin_recoveries, b.gmin_recoveries);
+  EXPECT_EQ(a.source_recoveries, b.source_recoveries);
+}
+
+TEST(AnalyzerConcurrent, CellsMatchCharacterizerOnTheCallingThread) {
+  for (const auto& pp : {models::PaperParams::table1(),
+                         models::PaperParams::table1_fast()}) {
+    // Cold: the analyzer must compute both cells itself, on two threads.
+    sram::characterize_cache_clear();
+    const PowerGatingAnalyzer an(pp);
+    EXPECT_EQ(sram::characterize_cache_stats().misses, 2u);
+    const sram::CellCharacterizer ch(pp);
+    SCOPED_TRACE(pp == models::PaperParams::table1() ? "table1" : "fast");
+    {
+      SCOPED_TRACE("6T");
+      expect_same_cell(an.cell_6t(), ch.characterize(sram::CellKind::k6T));
+    }
+    {
+      SCOPED_TRACE("NV-SRAM");
+      expect_same_cell(an.cell_nv(), ch.characterize(sram::CellKind::kNvSram));
+    }
+  }
+}
+
+TEST(AnalyzerConcurrent, NvCellLintErrorSurfacesFromTheWorkerThread) {
+  // A 2 ns store pulse is shorter than the MTJ switching time: the NV-SRAM
+  // cell's lint gate refuses its schedule, while the 6T cell, which never
+  // stores, characterizes.  So the LintError is thrown on the NV-SRAM
+  // cell's thread and must reach the analyzer's caller.
+  auto pp = models::PaperParams::table1();
+  pp.store_pulse = 2e-9;
+  const sram::CellCharacterizer ch(pp);
+  EXPECT_NO_THROW(ch.characterize(sram::CellKind::k6T));
+  EXPECT_THROW(ch.characterize(sram::CellKind::kNvSram), lint::LintError);
+  EXPECT_THROW(PowerGatingAnalyzer{pp}, lint::LintError);
 }
 
 TEST(AnalyzerWatchdog, TinyBudgetExpiresInsideCharacterization) {

@@ -35,7 +35,8 @@ TEST(CircuitRegistry, DuplicateDeviceNameRejected) {
   // A rejected duplicate leaves the circuit as it was, also when the
   // attempt is the one that grows the name index: one attempt per size.
   for (std::size_t k = 2; k <= 100; ++k) {
-    ckt.add<spice::Resistor>("R" + std::to_string(k), n, spice::kGround, 1e3);
+    ckt.add<spice::Resistor>(std::string("R").append(std::to_string(k)), n,
+                             spice::kGround, 1e3);
     try {
       ckt.add<spice::Resistor>("R1", n, spice::kGround, 2e3);
       ADD_FAILURE() << "duplicate accepted at " << k << " devices";
@@ -46,7 +47,8 @@ TEST(CircuitRegistry, DuplicateDeviceNameRejected) {
     ASSERT_EQ(ckt.find_device("R1"), first);
   }
   for (std::size_t k = 1; k <= 100; ++k) {
-    EXPECT_EQ(ckt.device_index("R" + std::to_string(k)), k - 1);
+    EXPECT_EQ(ckt.device_index(std::string("R").append(std::to_string(k))),
+              k - 1);
   }
 }
 
