@@ -99,7 +99,6 @@ class EnergyModel {
   void set_peripheral(std::optional<PeripheralModel> peripheral) {
     peripheral_ = std::move(peripheral);
   }
-  bool has_peripheral() const { return peripheral_.has_value(); }
 
  private:
   sram::CellEnergetics cell_6t_;

@@ -64,7 +64,6 @@ class SparseLu {
 
   bool valid() const { return valid_; }
   std::size_t dimension() const { return n_; }
-  std::size_t factor_nonzeros() const { return l_values_.size() + u_values_.size(); }
 
   // After a failed factorize()/refactor(): the elimination step (column)
   // that gave up, and whether it failed on a NaN/Inf value rather than a

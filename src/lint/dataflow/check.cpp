@@ -1,11 +1,12 @@
 #include "lint/dataflow/check.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
-#include "lint/dataflow/events.h"
 #include "lint/dataflow/lattice.h"
 #include "lint/rules.h"
+#include "lint/schedule.h"
 #include "models/mtj.h"
 #include "models/paper_params.h"
 #include "util/units.h"
@@ -21,29 +22,92 @@ constexpr double kEps = 1e-12;
 
 std::string ns(double t) { return util::si_format(t, "s"); }
 
+// One data-relevant event of the schedule.
+struct Event {
+  enum class Kind {
+    kWrite,    // new data latched into the cell
+    kRead,     // word-line access that drives no new data
+    kStore,    // powered SR pulse targeting the MTJs
+    kGateOff,  // rail collapse begins (off-window start)
+    kPowerUp,  // rail recovery completes (off-window end)
+    kRestore,  // SR pulse straddling a rail recovery
+  };
+  Kind kind = Kind::kWrite;
+  double t = 0.0;           // event time (sort key)
+  Window window;            // full extent of the pulse or off window
+  // Store pulses cut by a gate-off edge never complete; the interpreter
+  // skips the NV update without re-reporting (protocol-store-gate-overlap
+  // owns the malformed pulse itself).
+  bool cut_by_gate = false;
+  // Attribution: the driving signal, nullptr for synthesized edges.
+  const temporal::SignalTimeline* signal = nullptr;
+};
+
+// Tie-break rank at equal event times: data movement that abuts a gate-off
+// edge happened while the rail was still up; restores precede the reads
+// they enable.
+int order_rank(Event::Kind k) {
+  switch (k) {
+    case Event::Kind::kWrite: return 0;
+    case Event::Kind::kStore: return 1;
+    case Event::Kind::kGateOff: return 2;
+    case Event::Kind::kPowerUp: return 3;
+    case Event::Kind::kRestore: return 4;
+    case Event::Kind::kRead: return 5;
+  }
+  return 6;
+}
+
+// The schedule as one totally ordered event stream.  Dead stores drive no
+// current (the protocol pass reports them); reads exist only where write
+// evidence tells them from writes, since without it every access is one.
+std::vector<Event> events_of(const Schedule& sched) {
+  std::vector<Event> events;
+  for (const Window& po : sched.off) {
+    events.push_back({Event::Kind::kGateOff, po.t0, po});
+    events.push_back({Event::Kind::kPowerUp, po.t1, po});
+  }
+  for (const Access& w : sched.writes) {
+    events.push_back({Event::Kind::kWrite, w.window.t0, w.window, false,
+                      w.signal});
+  }
+  for (const Access& a : sched.accesses) {
+    if (a.write) continue;
+    events.push_back({Event::Kind::kRead, a.window.t0, a.window, false,
+                      a.signal});
+  }
+  for (const SrPulse& p : sched.sr_pulses) {
+    switch (p.kind) {
+      case SrPulse::Kind::kDeadStore:
+        break;
+      case SrPulse::Kind::kRestore:
+        events.push_back({Event::Kind::kRestore, p.recovery, p.window, false,
+                          p.signal});
+        break;
+      case SrPulse::Kind::kStore:
+        events.push_back({Event::Kind::kStore, p.window.t0, p.window,
+                          p.cut_by_gate, p.signal});
+        break;
+    }
+  }
+  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
+    if (std::fabs(a.t - b.t) > kEps) return a.t < b.t;
+    return order_rank(a.kind) < order_rank(b.kind);
+  });
+  return events;
+}
+
 class DataflowChecker {
  public:
-  DataflowChecker(const Timeline& tl, const DataflowOptions& opt,
-                  const spice::Circuit* circuit,
-                  const spice::ParsedNetlist* netlist,
-                  const power::DomainMap* domains)
-      : tl_(tl), opt_(opt), circuit_(circuit), netlist_(netlist),
-        domains_(domains) {}
+  DataflowChecker(const Timeline& tl, const DataflowOptions& opt)
+      : tl_(tl), opt_(opt) {}
 
-  std::vector<Diagnostic> run() {
-    // Nothing scheduled, or nothing nonvolatile to lose: the data-* family
-    // states retention properties of MTJ-backed cells only.
-    if (tl_.t_stop <= 0.0 || !tl_.has_mtj) return std::move(out_);
-
-    off_ = collect_off_windows(tl_, circuit_, netlist_, opt_.vdd, domains_);
-    const std::vector<Event> events =
-        extract_events(tl_, off_, opt_.clock_period);
-
+  std::vector<Diagnostic> run(const Schedule& sched) {
     // Forward pass = least fixpoint: the event order of one schedule is
     // total, so the abstract state after each event is already its fixpoint
     // value (join() in lattice.h is what branching schedules would need).
     CellState st;
-    for (const Event& e : events) transfer(e, st);
+    for (const Event& e : events_of(sched)) transfer(e, st);
     return std::move(out_);
   }
 
@@ -194,10 +258,6 @@ class DataflowChecker {
 
   const Timeline& tl_;
   const DataflowOptions& opt_;
-  const spice::Circuit* circuit_;
-  const spice::ParsedNetlist* netlist_;
-  const power::DomainMap* domains_;
-  std::vector<Window> off_;
   std::vector<Diagnostic> out_;
   int generation_ = 0;
   double last_write_t_ = 0.0;
@@ -230,8 +290,14 @@ std::vector<Diagnostic> check_dataflow(const temporal::Timeline& timeline,
                                        const DataflowOptions& options,
                                        const spice::Circuit* circuit,
                                        const spice::ParsedNetlist* netlist,
-                                       const power::DomainMap* domains) {
-  return DataflowChecker(timeline, options, circuit, netlist, domains).run();
+                                       const Schedule* schedule) {
+  // Nothing scheduled, or nothing nonvolatile to lose: the data-* family
+  // states retention properties of MTJ-backed cells only.
+  if (timeline.t_stop <= 0.0 || !timeline.has_mtj) return {};
+  DataflowChecker checker(timeline, options);
+  if (schedule != nullptr) return checker.run(*schedule);
+  return checker.run(Schedule(timeline, options.vdd, options.clock_period,
+                              circuit, netlist));
 }
 
 }  // namespace nvsram::lint::dataflow

@@ -11,7 +11,7 @@
 #include "lint/dataflow/check.h"
 #include "lint/graph.h"
 #include "lint/power/check.h"
-#include "lint/power/domain.h"
+#include "lint/schedule.h"
 #include "lint/temporal/protocol.h"
 #include "lint/temporal/timeline.h"
 #include "lint/temporal/units_check.h"
@@ -425,42 +425,30 @@ class Linter {
   // Timeline extraction and the protocol state machine live in
   // lint/temporal/; here we only run them over the parsed netlist and filter
   // through the shared enable/severity options.  The timeline and the
-  // domain map are derived once here and shared by every pass below.
+  // schedule (off windows, accesses, SR pulses, the domain map and its
+  // power state) are derived once here and shared by every pass below.
   void check_temporal() {
     const temporal::Timeline timeline = temporal::extract_timeline(*netlist_);
-    const power::DomainMap domains =
-        power::extract_domains(circuit_, netlist_);
     temporal::TemporalOptions topt;
     if (const auto& arch = netlist_->arch_annotation()) {
       // Validated at parse time; unknown values never reach the linter.
       if (auto a = temporal::arch_from_string(*arch)) topt.arch = *a;
     }
-    add_filtered(temporal::check_timeline(timeline, topt));
+    const Schedule schedule(timeline, topt.vdd, topt.clock_period, &circuit_,
+                            netlist_);
+    add_filtered(temporal::check_timeline(timeline, topt, &schedule));
     add_filtered(temporal::check_netlist_units(*netlist_, timeline));
-    check_power(timeline, domains);
-    check_dataflow(timeline, domains);
-  }
-
-  // ---- data-*: retention-state dataflow over the schedule ----------------
-  // Abstract interpretation of the per-cell latch/MTJ generation state
-  // (lint/dataflow/) against the off windows the power pass derives.
-  void check_dataflow(const temporal::Timeline& timeline,
-                      const power::DomainMap& domains) {
-    dataflow::DataflowOptions options;
-    add_filtered(dataflow::check_dataflow(timeline, options, &circuit_,
-                                          netlist_, &domains));
-  }
-
-  // ---- power-*: domain extraction + off-window abstract interpretation ----
-  // The structural passes above fill floating_nodes_ first, so the
-  // power-domain-floating rule dedupes against float-node / no-dc-path /
-  // disconnected-block instead of double-reporting one defect.
-  void check_power(const temporal::Timeline& timeline,
-                   const power::DomainMap& domains) {
-    power::PowerCheckOptions options;
-    options.already_reported_floating = floating_nodes_;
-    add_filtered(power::check_power(circuit_, timeline, netlist_, options,
-                                    &domains));
+    // The structural passes above fill floating_nodes_ first, so the
+    // power-domain-floating rule dedupes against float-node / no-dc-path /
+    // disconnected-block instead of double-reporting one defect.
+    power::PowerCheckOptions power_options;
+    power_options.already_reported_floating = floating_nodes_;
+    add_filtered(power::check_power(circuit_, timeline, netlist_,
+                                    power_options, &schedule));
+    // Retention-state dataflow: abstract interpretation of the per-cell
+    // latch/MTJ generation state (lint/dataflow/) over the same schedule.
+    add_filtered(dataflow::check_dataflow(timeline, {}, &circuit_, netlist_,
+                                          &schedule));
   }
 
   void add_filtered(std::vector<Diagnostic> diags) {

@@ -10,6 +10,8 @@
 #include <utility>
 
 #include "lint/rules.h"
+#include "lint/schedule.h"
+#include "lint/temporal/protocol.h"
 #include "spice/circuit.h"
 #include "spice/elements.h"
 #include "spice/fet_element.h"
@@ -30,6 +32,9 @@ using temporal::Timeline;
 using temporal::Window;
 
 constexpr double kEdgeEps = 1e-12;  // 1 ps: settle margin around edges
+// Fraction of VDD two held nets must differ by before a conduction path
+// between them counts as a sneak path.
+constexpr double kSneakDeltaFraction = 0.1;
 
 std::string ns(double t) { return util::si_format(t, "s"); }
 
@@ -39,9 +44,10 @@ enum class Conduct { kOff, kOn, kMaybe };
 class PowerChecker {
  public:
   PowerChecker(const Circuit& circuit, const Timeline& timeline,
-               const ParsedNetlist* netlist, const DomainMap& domains,
+               const ParsedNetlist* netlist, const Schedule& schedule,
                const PowerCheckOptions& options)
-      : ckt_(circuit), tl_(timeline), nl_(netlist), map_(domains),
+      : ckt_(circuit), tl_(timeline), nl_(netlist),
+        map_(schedule.domains.value()), state_(schedule.power),
         opt_(options) {}
 
   std::vector<Diagnostic> run() {
@@ -49,7 +55,6 @@ class PowerChecker {
     index_devices(/*dc_edges=*/gated);
     check_domain_annotations();
     if (gated) {
-      state_ = compute_power_state(map_, tl_, opt_.state);
       check_wordline_in_off_window();
       check_sneak_paths();
       check_missing_isolation();
@@ -264,7 +269,7 @@ class PowerChecker {
   // whose interior crosses the collapsed domain is leakage the PS switch was
   // supposed to eliminate (e.g. a bypass resistor around the header).
   void check_sneak_paths() {
-    const double min_delta = opt_.sneak_delta_fraction * state_.vdd;
+    const double min_delta = kSneakDeltaFraction * state_.vdd;
     std::set<std::string> reported;
     index_arcs();
     for (const PowerDomain& d : map_.domains) {
@@ -510,9 +515,9 @@ class PowerChecker {
   const Timeline& tl_;
   const ParsedNetlist* nl_;
   const DomainMap& map_;
+  const PowerState& state_;
   const PowerCheckOptions& opt_;
 
-  PowerState state_;
   std::vector<const VSource*> source_of_;  // NodeId -> driving source
   std::vector<const temporal::SignalTimeline*> signal_of_;  // NodeId -> track
   std::vector<const FinFETElement*> fets_;  // device order
@@ -551,12 +556,17 @@ std::vector<Diagnostic> check_power(const Circuit& circuit,
                                     const Timeline& timeline,
                                     const ParsedNetlist* netlist,
                                     const PowerCheckOptions& options,
-                                    const DomainMap* domains) {
-  if (domains != nullptr) {
-    return PowerChecker(circuit, timeline, netlist, *domains, options).run();
+                                    const Schedule* schedule) {
+  if (schedule != nullptr) {
+    return PowerChecker(circuit, timeline, netlist, *schedule, options).run();
   }
-  const DomainMap extracted = extract_domains(circuit, netlist);
-  return PowerChecker(circuit, timeline, netlist, extracted, options).run();
+  // This pass reads only the schedule's domain map and power state, which
+  // depend on neither the rail nor the access cycle a Schedule takes; the
+  // linter's protocol defaults serve.
+  const temporal::TemporalOptions defaults;
+  const Schedule own(timeline, defaults.vdd, defaults.clock_period, &circuit,
+                     netlist);
+  return PowerChecker(circuit, timeline, netlist, own, options).run();
 }
 
 }  // namespace nvsram::lint::power

@@ -38,8 +38,6 @@
 #include <vector>
 
 #include "lint/diagnostic.h"
-#include "lint/power/domain.h"
-#include "lint/power/state.h"
 #include "lint/temporal/timeline.h"
 
 namespace nvsram::spice {
@@ -47,13 +45,13 @@ class Circuit;
 class ParsedNetlist;
 }  // namespace nvsram::spice
 
+namespace nvsram::lint {
+struct Schedule;
+}  // namespace nvsram::lint
+
 namespace nvsram::lint::power {
 
 struct PowerCheckOptions {
-  StateOptions state;
-  // Fraction of VDD two held nets must differ by before a conduction path
-  // between them counts as a sneak path.
-  double sneak_delta_fraction = 0.1;
   // Node names already reported by float-node / no-dc-path /
   // disconnected-block; power-domain-floating dedupes against these the way
   // the structural rules dedupe degree-0 nodes.
@@ -62,14 +60,14 @@ struct PowerCheckOptions {
 
 // Runs every power-* check.  `netlist` (nullable) supplies .domain
 // annotations and line attribution; the timeline supplies the schedule
-// (netlist sources or exported testbench tracks).  `domains`, when given,
-// must be extract_domains(circuit, netlist): the linter extracts the map
-// once and shares it with the dataflow pass.  Without it the map is
-// extracted here.
+// (netlist sources or exported testbench tracks).  The domain map and the
+// power state come from `schedule`, which must have been built over this
+// timeline, circuit and netlist: the linter builds one and shares it with
+// the protocol and dataflow passes.  Without it one is built here.
 std::vector<Diagnostic> check_power(const spice::Circuit& circuit,
                                     const temporal::Timeline& timeline,
                                     const spice::ParsedNetlist* netlist,
                                     const PowerCheckOptions& options = {},
-                                    const DomainMap* domains = nullptr);
+                                    const Schedule* schedule = nullptr);
 
 }  // namespace nvsram::lint::power

@@ -1,7 +1,6 @@
 #include "lint/power/state.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace nvsram::lint::power {
 
@@ -89,20 +88,17 @@ std::vector<Window> windows_subtract(const std::vector<Window>& a,
   return normalize(std::move(out));
 }
 
-PowerState compute_power_state(const DomainMap& map, const Timeline& timeline,
-                               const StateOptions& options) {
+PowerState compute_power_state(const DomainMap& map,
+                               const Timeline& timeline) {
   PowerState state;
-  state.vdd = options.vdd;
-  if (state.vdd <= 0.0) {
-    state.vdd = 0.0;
-    for (const auto& s : timeline.signals) {
-      if (s.role == temporal::SignalRole::kPower) {
-        state.vdd = std::max(state.vdd, s.max_level());
-      }
+  state.vdd = 0.0;
+  for (const auto& s : timeline.signals) {
+    if (s.role == temporal::SignalRole::kPower) {
+      state.vdd = std::max(state.vdd, s.max_level());
     }
-    if (state.vdd <= 0.0) state.vdd = 0.9;
   }
-  state.threshold = options.on_fraction * state.vdd;
+  if (state.vdd <= 0.0) state.vdd = 0.9;
+  state.threshold = 0.5 * state.vdd;
 
   const double t_stop = timeline.t_stop;
   state.schedules.resize(map.domains.size());
@@ -123,13 +119,6 @@ PowerState compute_power_state(const DomainMap& map, const Timeline& timeline,
       if (gate != nullptr) {
         cut = sw.pmos ? gate->windows_above(state.threshold, t_stop)
                       : gate->windows_below(state.threshold, t_stop);
-        for (const temporal::Transition& tr : gate->transitions) {
-          const double lo = std::min(tr.v0, tr.v1);
-          const double hi = std::max(tr.v0, tr.v1);
-          if (lo < state.threshold && hi >= state.threshold) {
-            sched.transitions.push_back({tr.t0, tr.t1});
-          }
-        }
       }
       // An unknown gate never proves the rail down: cut stays empty, the
       // intersection collapses, and every off-window rule goes quiet

@@ -3,10 +3,10 @@
 // Composes the extracted DomainMap with the stimulus Timeline: each gated
 // domain's PS gate signals are interpreted against an on/off threshold,
 // giving the maximal windows in which the domain's rail is collapsed (every
-// feeding switch cut) plus the ramp windows in between.  Nested domains
-// inherit their parent's off windows (a child rail cannot be up while its
-// supplier is down).  No transient is ever solved — this is the abstract
-// power state the power-* rules check events against.
+// feeding switch cut).  Nested domains inherit their parent's off windows
+// (a child rail cannot be up while its supplier is down).  No transient is
+// ever solved — this is the abstract power state the power-* rules check
+// events against.
 #pragma once
 
 #include <vector>
@@ -16,14 +16,6 @@
 
 namespace nvsram::lint::power {
 
-struct StateOptions {
-  // Nominal rail; 0 = derive from the power-role signals in the timeline
-  // (their maximum level), falling back to 0.9 V.
-  double vdd = 0.0;
-  // A gate signal beyond on_fraction * vdd counts as asserted.
-  double on_fraction = 0.5;
-};
-
 struct DomainSchedule {
   int domain = -1;
   // Maximal windows with the rail collapsed, time-sorted and disjoint.
@@ -31,8 +23,6 @@ struct DomainSchedule {
   // windows_* algebra below share this convention, so adjacent windows
   // [a,b) [b,c) never double-count b and an empty gap never survives.
   std::vector<temporal::Window> off;
-  // Gate-signal ramps crossing the threshold (rail collapse / recovery).
-  std::vector<temporal::Window> transitions;
   // Off windows of each feeding switch alone, parallel to
   // PowerDomain::switches (power-shared-rail-conflict compares these).
   std::vector<std::vector<temporal::Window>> switch_off;
@@ -43,8 +33,10 @@ struct DomainSchedule {
 
 struct PowerState {
   std::vector<DomainSchedule> schedules;  // indexed by domain id
-  double vdd = 0.9;                       // resolved nominal rail
-  double threshold = 0.45;                // resolved on/off gate threshold
+  // The highest level of the power-role signals in the timeline, 0.9 V
+  // when it has none.
+  double vdd = 0.9;
+  double threshold = 0.45;  // a gate beyond half of vdd is asserted
 
   const DomainSchedule& of(int domain_id) const {
     return schedules[static_cast<std::size_t>(domain_id)];
@@ -52,8 +44,7 @@ struct PowerState {
 };
 
 PowerState compute_power_state(const DomainMap& map,
-                               const temporal::Timeline& timeline,
-                               const StateOptions& options = {});
+                               const temporal::Timeline& timeline);
 
 // Interval algebra over sorted disjoint window lists (exposed for tests).
 std::vector<temporal::Window> windows_intersect(

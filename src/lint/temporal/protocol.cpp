@@ -5,7 +5,9 @@
 #include <cmath>
 #include <sstream>
 
+#include "lint/dataflow/check.h"
 #include "lint/rules.h"
+#include "lint/schedule.h"
 #include "models/paper_params.h"
 #include "util/units.h"
 
@@ -17,33 +19,13 @@ constexpr double kEps = 1e-12;  // 1 ps: below any schedulable edge spacing
 
 std::string ns(double t) { return util::si_format(t, "s"); }
 
-// Minimum of the piecewise-linear level over a window.
-double min_level_in(const SignalTimeline& s, const Window& w) {
-  double m = std::min(s.level_at(w.t0), s.level_at(w.t1));
-  for (const Transition& tr : s.transitions) {
-    if (tr.t0 >= w.t0 && tr.t0 <= w.t1) m = std::min(m, tr.v0);
-    if (tr.t1 >= w.t0 && tr.t1 <= w.t1) m = std::min(m, tr.v1);
-  }
-  return m;
-}
-
-// Expands a threshold-crossing window to the full extent of the transitions
-// that produced its edges, so [gate-off start .. recovery complete] rather
-// than [mid-rise .. mid-fall].
-Window widen_to_edges(const SignalTimeline& s, Window w) {
-  for (const Transition& tr : s.transitions) {
-    if (w.t0 >= tr.t0 - kEps && w.t0 <= tr.t1 + kEps) w.t0 = tr.t0;
-    if (w.t1 >= tr.t0 - kEps && w.t1 <= tr.t1 + kEps) {
-      w.t1 = std::max(w.t1, tr.t1);
-    }
-  }
-  return w;
-}
+using SrKind = SrPulse::Kind;
 
 class ProtocolChecker {
  public:
-  ProtocolChecker(const Timeline& tl, const TemporalOptions& opt)
-      : tl_(tl), opt_(opt) {}
+  ProtocolChecker(const Timeline& tl, const TemporalOptions& opt,
+                  const Schedule& schedule)
+      : tl_(tl), opt_(opt), sched_(schedule) {}
 
   std::vector<Diagnostic> run() {
     if (tl_.t_stop <= 0.0) return std::move(out_);  // nothing scheduled
@@ -54,10 +36,13 @@ class ProtocolChecker {
     ctrl_ = tl_.find_role(SignalRole::kRestoreCtrl);
     pch_ = tl_.find_role(SignalRole::kPrecharge);
 
-    find_power_off_windows();
-    collect_write_events();
+    // Only the first store-enable line, the one the messages name.
+    for (const SrPulse& p : sched_.sr_pulses) {
+      if (p.signal == sr_) sr_pulses_.push_back(&p);
+    }
+
     check_sleep_retention();
-    classify_store_windows();
+    check_store_pulses();
     check_store_steps();
     check_power_cycles();
     check_wordline_precharge();
@@ -66,11 +51,6 @@ class ProtocolChecker {
   }
 
  private:
-  struct SrWindow {
-    Window w;
-    enum class Kind { kStore, kRestore, kDeadStore } kind = Kind::kStore;
-  };
-
   void emit(const char* rule, std::string message, const SignalTimeline* sig,
             double at_time) {
     Diagnostic d;
@@ -85,93 +65,12 @@ class ProtocolChecker {
     out_.push_back(std::move(d));
   }
 
-  bool power_off_at(double t) const {
-    for (const Window& po : power_off_) {
-      if (t >= po.t0 && t <= po.t1) return true;
-    }
-    return false;
-  }
-
-  // Gate-off windows come from the power-gate line (high = super cutoff) and
-  // from full collapses of the rail itself (netlists that gate by driving
-  // VDD to zero).
-  void find_power_off_windows() {
-    if (pg_ != nullptr && pg_->max_level() > 0.3 * opt_.vdd) {
-      const double thr = 0.5 * pg_->max_level();
-      for (Window w : pg_->windows_above(thr, tl_.t_stop)) {
-        power_off_.push_back(widen_to_edges(*pg_, w));
-      }
-    }
-    if (pwr_ != nullptr) {
-      const double nominal = std::max(pwr_->max_level(), opt_.vdd);
-      for (Window w : pwr_->windows_below(0.95 * nominal, tl_.t_stop)) {
-        if (min_level_in(*pwr_, w) < 0.1 * nominal) {
-          power_off_.push_back(widen_to_edges(*pwr_, w));
-        }
-      }
-    }
-    std::sort(power_off_.begin(), power_off_.end(),
-              [](const Window& a, const Window& b) { return a.t0 < b.t0; });
-  }
-
-  // Times at which the cell is written (leaving it ahead of its MTJs).
-  // Primary evidence: a write-driver assert.  Netlists that drive the
-  // bitlines with ideal sources instead: a bitline transition while a word
-  // line is high.  Only when the timeline carries neither write drivers nor
-  // bitlines do word-line asserts count (conservative fallback).
-  void collect_write_events() {
-    const auto wds = tl_.with_role(SignalRole::kWriteDriver);
-    for (const SignalTimeline* wd : wds) {
-      if (wd->max_level() < 0.05) continue;
-      for (const Window& w : wd->windows_above(0.5 * wd->max_level(),
-                                               tl_.t_stop)) {
-        writes_.push_back(w.t0);
-      }
-    }
-    const auto bls = tl_.with_role(SignalRole::kBitline);
-    if (wds.empty() && !bls.empty()) {
-      std::vector<Window> wl_high;
-      for (const SignalTimeline* wl : tl_.with_role(SignalRole::kWordline)) {
-        if (wl->max_level() < 0.05) continue;
-        const auto ws = wl->windows_above(0.5 * wl->max_level(), tl_.t_stop);
-        wl_high.insert(wl_high.end(), ws.begin(), ws.end());
-      }
-      // The bitline settles up to ~a clock period before the word line
-      // rises, so look back that far when deciding whether an access drives
-      // new data.
-      for (const Window& w : wl_high) {
-        bool wrote = false;
-        for (const SignalTimeline* bl : bls) {
-          for (const Transition& tr : bl->transitions) {
-            if (tr.t1 > w.t0 - opt_.clock_period - kEps &&
-                tr.t0 < w.t1 + kEps) {
-              wrote = true;
-            }
-          }
-        }
-        if (wrote) writes_.push_back(w.t0);
-      }
-    }
-    if (wds.empty() && bls.empty()) {
-      for (const SignalTimeline* wl : tl_.with_role(SignalRole::kWordline)) {
-        if (wl->max_level() < 0.05) continue;
-        for (const Window& w : wl->windows_above(0.5 * wl->max_level(),
-                                                 tl_.t_stop)) {
-          writes_.push_back(w.t0);
-        }
-      }
-    }
-    std::sort(writes_.begin(), writes_.end());
-  }
-
   // OSR / sleep retention: any rail sag that is not a full collapse must
   // stay above the bistable retention floor.
   void check_sleep_retention() {
-    if (pwr_ == nullptr) return;
-    const double nominal = std::max(pwr_->max_level(), opt_.vdd);
-    for (const Window& w : pwr_->windows_below(0.95 * nominal, tl_.t_stop)) {
-      const double vmin = min_level_in(*pwr_, w);
-      if (vmin < 0.1 * nominal) continue;  // full collapse: a shutdown
+    for (const RailSag& sag : sched_.sags) {
+      const Window& w = sag.window;
+      const double vmin = sag.vmin;
       if (vmin < opt_.retention_floor) {
         std::ostringstream msg;
         msg << "sleep level of rail '" << pwr_->name << "' sags to "
@@ -186,72 +85,48 @@ class ProtocolChecker {
     }
   }
 
-  // Splits SR assert windows into store / restore / dead-store (entirely
-  // inside a power-off window: the core is unpowered, nothing can flow).
-  void classify_store_windows() {
-    if (sr_ == nullptr || sr_->max_level() < 0.05) return;
-    const double thr = 0.5 * sr_->max_level();
-    for (const Window& w : sr_->windows_above(thr, tl_.t_stop)) {
-      SrWindow sw;
-      sw.w = w;
-      bool recovery_inside = false;
-      bool fully_off = false;
-      bool starts_on_ends_off = false;
-      for (const Window& po : power_off_) {
-        if (po.t1 > w.t0 - kEps && po.t1 <= w.t1 + kEps) {
-          recovery_inside = true;
-        }
-        if (w.t0 >= po.t0 - kEps && w.t1 <= po.t1 + kEps) fully_off = true;
-        if (w.t0 < po.t0 - kEps && w.t1 > po.t0 + kEps && w.t1 <= po.t1) {
-          starts_on_ends_off = true;
-        }
-      }
-      if (recovery_inside) {
-        sw.kind = SrWindow::Kind::kRestore;
-      } else if (fully_off) {
-        sw.kind = SrWindow::Kind::kDeadStore;
-      } else if (starts_on_ends_off) {
-        // Store begun with power on but the gate cuts it mid-pulse.
-        std::ostringstream msg;
-        msg << "store pulse on '" << sr_->name << "' over [" << ns(w.t0)
-            << ", " << ns(w.t1) << "] overlaps the gate-off edge: the "
-            << "virtual rail collapses mid-store and the MTJ write current "
-            << "is cut";
-        emit(rules::kProtocolStoreGateOverlap, msg.str(), sr_, w.t0);
-        sw.kind = SrWindow::Kind::kStore;
-      }
-      sr_windows_.push_back(sw);
-    }
-
-    for (const SrWindow& sw : sr_windows_) {
-      if (sw.kind != SrWindow::Kind::kDeadStore) continue;
+  // A store cut by the gate-off edge, and a dead store (entirely inside a
+  // power-off window: the core is unpowered, nothing can flow).
+  void check_store_pulses() {
+    for (const SrPulse* p : sr_pulses_) {
+      if (!p->cut_by_gate) continue;
       std::ostringstream msg;
-      msg << "SR pulse on '" << sr_->name << "' over [" << ns(sw.w.t0) << ", "
-          << ns(sw.w.t1) << "] lies entirely inside a power-off window and "
-          << "de-asserts before VDD recovery: a restore must still be "
-          << "asserted when the rail comes back (a store here drives no "
+      msg << "store pulse on '" << sr_->name << "' over [" << ns(p->window.t0)
+          << ", " << ns(p->window.t1) << "] overlaps the gate-off edge: the "
+          << "virtual rail collapses mid-store and the MTJ write current "
+          << "is cut";
+      emit(rules::kProtocolStoreGateOverlap, msg.str(), sr_, p->window.t0);
+    }
+    for (const SrPulse* p : sr_pulses_) {
+      if (p->kind != SrKind::kDeadStore) continue;
+      std::ostringstream msg;
+      msg << "SR pulse on '" << sr_->name << "' over [" << ns(p->window.t0)
+          << ", " << ns(p->window.t1) << "] lies entirely inside a power-off "
+          << "window and de-asserts before VDD recovery: a restore must still "
+          << "be asserted when the rail comes back (a store here drives no "
           << "current at all)";
-      emit(rules::kProtocolRestoreOrder, msg.str(), sr_, sw.w.t0);
+      emit(rules::kProtocolRestoreOrder, msg.str(), sr_, p->window.t0);
     }
   }
 
   // Every powered store step (contiguous CTRL level inside an SR assert)
   // must be at least the MTJ write-pulse width at the configured overdrive.
   void check_store_steps() {
-    if (!tl_.has_mtj || sr_ == nullptr) return;
-    for (const SrWindow& sw : sr_windows_) {
-      if (sw.kind != SrWindow::Kind::kStore) continue;
+    if (!tl_.has_mtj) return;
+    for (const SrPulse* p : sr_pulses_) {
+      if (p->kind != SrKind::kStore) continue;
+      const Window& w = p->window;
       std::vector<double> cuts;
       if (ctrl_ != nullptr) {
         for (const Transition& tr : ctrl_->transitions) {
           if (std::fabs(tr.v1 - tr.v0) < 1e-6) continue;
           const double mid = 0.5 * (tr.t0 + tr.t1);
-          if (mid > sw.w.t0 + kEps && mid < sw.w.t1 - kEps) cuts.push_back(mid);
+          if (mid > w.t0 + kEps && mid < w.t1 - kEps) cuts.push_back(mid);
         }
       }
       std::sort(cuts.begin(), cuts.end());
-      double prev = sw.w.t0;
-      cuts.push_back(sw.w.t1);
+      double prev = w.t0;
+      cuts.push_back(w.t1);
       int step_index = 0;
       for (double cut : cuts) {
         const double width = cut - prev;
@@ -276,7 +151,7 @@ class ProtocolChecker {
   // collapse/recovery ramps.
   void check_power_cycles() {
     double prev_power_up = 0.0;
-    for (const Window& po : power_off_) {
+    for (const Window& po : sched_.off) {
       const SignalTimeline* attrib = pg_ != nullptr ? pg_ : pwr_;
       if (po.duration() < opt_.min_shutdown) {
         std::ostringstream msg;
@@ -294,15 +169,16 @@ class ProtocolChecker {
         // power cycles (NOF reads) are exempt: the MTJs already hold the
         // data.
         double last_write = -1.0;
-        for (double w : writes_) {
+        for (const Access& write : sched_.writes) {
+          const double w = write.window.t0;
           if (w > prev_power_up - kEps && w < po.t0 - kEps) {
             last_write = std::max(last_write, w);
           }
         }
         bool store_found = false;
-        for (const SrWindow& sw : sr_windows_) {
-          if (sw.kind != SrWindow::Kind::kStore) continue;
-          if (sw.w.t1 <= po.t0 + kEps && sw.w.t1 > last_write) {
+        for (const SrPulse* p : sr_pulses_) {
+          if (p->kind != SrKind::kStore) continue;
+          if (p->window.t1 <= po.t0 + kEps && p->window.t1 > last_write) {
             store_found = true;
           }
         }
@@ -320,10 +196,10 @@ class ProtocolChecker {
 
         // Restore straddling the recovery edge.
         double restore_end = -1.0;
-        for (const SrWindow& sw : sr_windows_) {
-          if (sw.kind != SrWindow::Kind::kRestore) continue;
-          if (po.t1 > sw.w.t0 - kEps && po.t1 <= sw.w.t1 + kEps) {
-            restore_end = std::max(restore_end, sw.w.t1);
+        for (const SrPulse* p : sr_pulses_) {
+          if (p->kind != SrKind::kRestore) continue;
+          if (po.t1 > p->window.t0 - kEps && po.t1 <= p->window.t1 + kEps) {
+            restore_end = std::max(restore_end, p->window.t1);
           }
         }
         const double next_access = first_wordline_after(po.t1);
@@ -355,12 +231,9 @@ class ProtocolChecker {
   // Earliest word-line assert at/after t; -1 when none.
   double first_wordline_after(double t) const {
     double best = -1.0;
-    for (const SignalTimeline* wl : tl_.with_role(SignalRole::kWordline)) {
-      if (wl->max_level() < 0.05) continue;
-      for (const Window& w : wl->windows_above(0.5 * wl->max_level(),
-                                               tl_.t_stop)) {
-        if (w.t0 >= t - kEps && (best < 0.0 || w.t0 < best)) best = w.t0;
-      }
+    for (const Access& a : sched_.accesses) {
+      const double t0 = a.window.t0;
+      if (t0 >= t - kEps && (best < 0.0 || t0 < best)) best = t0;
     }
     return best;
   }
@@ -372,23 +245,19 @@ class ProtocolChecker {
     if (pch_ == nullptr) return;
     const double pch_thr = 0.5 * std::max(pch_->max_level(), opt_.vdd);
     const auto active = pch_->windows_below(pch_thr, tl_.t_stop);
-    for (const SignalTimeline* wl : tl_.with_role(SignalRole::kWordline)) {
-      if (wl->max_level() < 0.05) continue;
-      for (const Window& w : wl->windows_above(0.5 * wl->max_level(),
-                                               tl_.t_stop)) {
-        for (const Window& a : active) {
-          const double overlap =
-              std::min(w.t1, a.t1) - std::max(w.t0, a.t0);
-          if (overlap > 0.05 * w.duration() + kEps) {
-            std::ostringstream msg;
-            msg << "word line '" << wl->name << "' is asserted over ["
-                << ns(w.t0) << ", " << ns(w.t1) << "] while the precharge on '"
-                << pch_->name << "' is still active (" << ns(overlap)
-                << " overlap): the access fights the precharge pull-ups";
-            emit(rules::kProtocolWlPrechargeOverlap, msg.str(), wl,
-                 std::max(w.t0, a.t0));
-            break;
-          }
+    for (const Access& access : sched_.accesses) {
+      const Window& w = access.window;
+      for (const Window& a : active) {
+        const double overlap = std::min(w.t1, a.t1) - std::max(w.t0, a.t0);
+        if (overlap > 0.05 * w.duration() + kEps) {
+          std::ostringstream msg;
+          msg << "word line '" << access.signal->name << "' is asserted over ["
+              << ns(w.t0) << ", " << ns(w.t1) << "] while the precharge on '"
+              << pch_->name << "' is still active (" << ns(overlap)
+              << " overlap): the access fights the precharge pull-ups";
+          emit(rules::kProtocolWlPrechargeOverlap, msg.str(), access.signal,
+               std::max(w.t0, a.t0));
+          break;
         }
       }
     }
@@ -408,14 +277,13 @@ class ProtocolChecker {
 
   const Timeline& tl_;
   const TemporalOptions& opt_;
+  const Schedule& sched_;
   const SignalTimeline* pwr_ = nullptr;
   const SignalTimeline* pg_ = nullptr;
   const SignalTimeline* sr_ = nullptr;
   const SignalTimeline* ctrl_ = nullptr;
   const SignalTimeline* pch_ = nullptr;
-  std::vector<Window> power_off_;
-  std::vector<SrWindow> sr_windows_;
-  std::vector<double> writes_;
+  std::vector<const SrPulse*> sr_pulses_;  // of sr_, in time order
   std::vector<Diagnostic> out_;
 };
 
@@ -427,11 +295,8 @@ TemporalOptions TemporalOptions::from_paper(const models::PaperParams& pp) {
   opt.store_pulse = pp.store_pulse;
   opt.clock_period = pp.clock_period();
   opt.retention_floor = pp.vvdd_retention_floor;
-  if (pp.store_current_factor > 1.0) {
-    opt.mtj_write_pulse = pp.mtj.tau0 / (pp.store_current_factor - 1.0);
-  } else {
-    opt.mtj_write_pulse = pp.store_pulse;
-  }
+  opt.mtj_write_pulse = dataflow::DataflowOptions::required_store_pulse(
+      pp.mtj, pp.store_current_factor, pp.store_pulse);
   return opt;
 }
 
@@ -449,8 +314,13 @@ std::optional<TemporalOptions::Arch> arch_from_string(const std::string& s) {
 }
 
 std::vector<Diagnostic> check_timeline(const Timeline& timeline,
-                                       const TemporalOptions& options) {
-  return ProtocolChecker(timeline, options).run();
+                                       const TemporalOptions& options,
+                                       const Schedule* schedule) {
+  if (schedule != nullptr) {
+    return ProtocolChecker(timeline, options, *schedule).run();
+  }
+  const Schedule own(timeline, options.vdd, options.clock_period);
+  return ProtocolChecker(timeline, options, own).run();
 }
 
 }  // namespace nvsram::lint::temporal

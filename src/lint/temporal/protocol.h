@@ -30,6 +30,10 @@ namespace nvsram::models {
 struct PaperParams;
 }  // namespace nvsram::models
 
+namespace nvsram::lint {
+struct Schedule;
+}  // namespace nvsram::lint
+
 namespace nvsram::lint::temporal {
 
 struct TemporalOptions {
@@ -40,7 +44,7 @@ struct TemporalOptions {
 
   double vdd = 0.9;                 // nominal rail
   // Minimum pulse width that completes a CIMS write at the configured store
-  // overdrive: tau0 / (store_current_factor - 1).
+  // overdrive: DataflowOptions::required_store_pulse.
   double mtj_write_pulse = 6e-9;
   double store_pulse = 10e-9;       // configured store step width
   // Access-cycle budget.  For arch kNOF this is the *effective* (stretched)
@@ -59,9 +63,13 @@ struct TemporalOptions {
 // Runs every protocol-* check that applies to this timeline.  Diagnostics
 // carry the offending signal name (device), the time window in the message,
 // the netlist line when known, and the covering phase name when the
-// timeline came from a testbench schedule.
+// timeline came from a testbench schedule.  The off windows, accesses and
+// SR pulses come from `schedule`, which must have been built over this
+// timeline with `options.vdd` and `options.clock_period`; without it one is
+// built here from the timeline alone.
 std::vector<Diagnostic> check_timeline(const Timeline& timeline,
-                                       const TemporalOptions& options);
+                                       const TemporalOptions& options,
+                                       const Schedule* schedule = nullptr);
 
 // Parses a `.arch` card value ("nvpg" / "nof" / "osr", case-insensitive)
 // into the explicit architecture; nullopt for anything else.  kAuto is not

@@ -3,8 +3,9 @@
 // A Timeline is a piecewise-linear view of every independent driver in a
 // simulation — built either from the parsed netlist's PWL/PULSE/DC sources
 // or from a CellTestbench's scheduled tracks — plus the phase windows of the
-// schedule when they are known.  The protocol checker (protocol.h) consumes
-// this model; no transient solve is ever involved.
+// schedule when they are known.  The schedule model (lint/schedule.h) and
+// the protocol checker (protocol.h) consume it; no transient solve is ever
+// involved.
 #pragma once
 
 #include <cstdint>
@@ -46,9 +47,6 @@ class SignalTimeline {
 
   // Piecewise-linear level at time t.
   double level_at(double t) const;
-  double final_level() const {
-    return transitions.empty() ? initial : transitions.back().v1;
-  }
   double max_level() const;
   double min_level() const;
 

@@ -55,7 +55,6 @@ class Circuit {
   // An attached plan is consulted by every Newton solve on this circuit;
   // see spice/fault.h for the trigger semantics.
   void set_fault_plan(FaultPlan plan) { fault_plan_ = std::move(plan); }
-  void clear_fault_plan() { fault_plan_.reset(); }
   FaultPlan* fault_plan() { return fault_plan_ ? &*fault_plan_ : nullptr; }
 
  private:

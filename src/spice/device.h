@@ -130,7 +130,6 @@ class StampContext {
   double node_voltage(NodeId n) const {
     return n == kGround ? 0.0 : x_[layout_.node_index(n)];
   }
-  double branch_value(std::size_t idx) const { return x_[idx]; }
 
   double time() const { return time_; }
   double dt() const { return dt_; }

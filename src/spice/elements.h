@@ -32,9 +32,6 @@ class SourceSpec {
   double value(double time) const;
   void breakpoints(double t_stop, std::vector<double>& out) const;
 
-  // DC value used for the operating point (value at t = 0).
-  double dc_value() const { return value(0.0); }
-
  private:
   enum class Kind { kDc, kPulse, kPwl };
   Kind kind_ = Kind::kDc;
@@ -136,7 +133,6 @@ class VSource final : public Device {
 
   double value(double time) const { return spec_.value(time); }
   void set_spec(SourceSpec spec) { spec_ = std::move(spec); }
-  std::size_t branch_index() const { return branch_; }
 
  private:
   NodeId plus_, minus_;

@@ -50,7 +50,6 @@ class FaultPlan {
 
   // Called by solve_newton on entry; returns the index of this solve.
   int begin_solve() { return solve_count_++; }
-  int solves_started() const { return solve_count_; }
   void reset() { solve_count_ = 0; }
 
   // Does any spec of `kind` fire on this solve?  (kNanStamp is queried via

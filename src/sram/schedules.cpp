@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "lint/power/check.h"
+#include "lint/schedule.h"
 #include "lint/temporal/units_check.h"
 
 namespace nvsram::sram {
@@ -89,15 +90,18 @@ std::vector<lint::Diagnostic> lint_schedule(
     const CellTestbench& tb, const lint::temporal::TemporalOptions& topt,
     const lint::dataflow::DataflowOptions& dopt) {
   const lint::temporal::Timeline tl = tb.export_timeline();
+  const lint::Schedule schedule(tl, topt.vdd, topt.clock_period,
+                                &tb.circuit());
   std::vector<lint::Diagnostic> out;
   auto add = [&out](std::vector<lint::Diagnostic> diags) {
     for (auto& d : diags) out.push_back(std::move(d));
   };
-  add(lint::temporal::check_timeline(tl, topt));
+  add(lint::temporal::check_timeline(tl, topt, &schedule));
   add(lint::temporal::check_timeline_units(tl));
   add(lint::temporal::check_paper_params(tb.paper()));
-  add(lint::power::check_power(tb.circuit(), tl, nullptr, {}));
-  add(lint::dataflow::check_dataflow(tl, dopt, &tb.circuit(), nullptr));
+  add(lint::power::check_power(tb.circuit(), tl, nullptr, {}, &schedule));
+  add(lint::dataflow::check_dataflow(tl, dopt, &tb.circuit(), nullptr,
+                                     &schedule));
   return out;
 }
 

@@ -42,8 +42,10 @@ std::unique_ptr<CellTestbench> build_benchmark_schedule(
 // The static passes over a scheduled testbench's exported timeline, in
 // order: protocol, units, the testbench's PaperParams, power intent (the
 // domain behind the header switch against the schedule's off windows) and
-// retention dataflow.  Nothing is solved.  Callers filter the findings or
-// gate on them: CellCharacterizer throws on errors, nvlint --bench reports.
+// retention dataflow.  The protocol, power and dataflow passes share one
+// lint::Schedule, built with `topt`'s rail and access cycle.  Nothing is
+// solved.  Callers filter the findings or gate on them: CellCharacterizer
+// throws on errors, nvlint --bench reports.
 std::vector<lint::Diagnostic> lint_schedule(
     const CellTestbench& tb, const lint::temporal::TemporalOptions& topt,
     const lint::dataflow::DataflowOptions& dopt);

@@ -131,10 +131,6 @@ class CellTestbench {
   double static_power(StaticMode mode, bool data = true);
   double static_power(const BiasSet& bias, bool data);
 
-  // Diagnostics of the most recent solve_dc() attempt (success or failure).
-  const spice::SolveDiagnostics& last_dc_diagnostics() const {
-    return dc_->last_diagnostics();
-  }
   // The Newton workspace every solve_dc() shares: its assembly plan and LU
   // pivots are planned once for the bench's lifetime.
   const spice::NewtonWorkspace& dc_workspace() const {

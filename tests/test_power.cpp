@@ -8,8 +8,9 @@
 //  * seeded violations — one netlist per power-* rule in
 //    tests/netlists_bad/, each asserting line/phase attribution, plus the
 //    float-node dedupe regression for power-domain-floating;
-//  * entry points — the passes given the linter's shared timeline and
-//    domain map report exactly what their standalone forms report;
+//  * entry points — the protocol, power and dataflow passes given the
+//    linter's shared Schedule report exactly what their standalone forms
+//    report, and an NMOS footer's gate line is read with its own polarity;
 //  * no false positives — the shipped netlists/ corpus and all three
 //    benchmark schedules produce zero power-* diagnostics.
 #include <gtest/gtest.h>
@@ -29,6 +30,8 @@
 #include "lint/power/state.h"
 #include "lint/report.h"
 #include "lint/rules.h"
+#include "lint/schedule.h"
+#include "lint/temporal/protocol.h"
 #include "lint/temporal/timeline.h"
 #include "models/paper_params.h"
 #include "spice/circuit.h"
@@ -316,10 +319,11 @@ TEST(PowerDedupe, StructuralRulesSuppressDomainFloating) {
 }
 
 // ---- shared vs standalone entry points --------------------------------------
-// The linter extracts one domain map and hands it to the power and dataflow
-// passes.  CellCharacterizer's lint gate and the benchmark call the
-// standalone forms, which extract it themselves; the two must report the
-// same diagnostics, field for field and in order.
+// The linter builds one Schedule (off windows, accesses, SR pulses, the
+// domain map and its power state) and hands it to the protocol, power and
+// dataflow passes.  The benchmark calls the standalone forms, which build
+// their own; the two must report the same diagnostics, field for field and
+// in order.
 
 std::vector<std::string> rendered(const std::vector<Diagnostic>& diags) {
   std::vector<std::string> out;
@@ -327,6 +331,46 @@ std::vector<std::string> rendered(const std::vector<Diagnostic>& diags) {
     out.push_back(d.format() + " |device=" + d.device + " |node=" + d.node);
   }
   return out;
+}
+
+// bad_data_lost.cir's schedule, gated either by a PMOS header on the cell's
+// supply (off while Vpg is high) or by an NMOS footer on its ground (off
+// while Vpg is low).  Either way the write at 30 ns is never stored, so the
+// 60 ns gate-off loses it.
+std::string gated_cell_deck(bool footer) {
+  std::string deck =
+      "gated cell: write, store, write, gate-off\n"
+      ".subckt nvcell bl blb wl vhi vlo sr ctrl\n"
+      "Mpu1 q  qb vhi pfin\n"
+      "Mpd1 q  qb vlo nfin\n"
+      "Mpu2 qb q  vhi pfin\n"
+      "Mpd2 qb q  vlo nfin\n"
+      "Max1 bl  wl q  nfin\n"
+      "Max2 blb wl qb nfin\n"
+      "Mps1 q  sr y1 nfin\n"
+      "Y1   ctrl y1 P\n"
+      "Mps2 qb sr y2 nfin\n"
+      "Y2   ctrl y2 P\n"
+      ".ends\n"
+      "Vdd  vdd 0 DC 0.9\n";
+  deck += footer
+              ? "Vpg  pg  0 PWL(0 0.9 60n 0.9 60.5n 0 2105n 0 2105.5n 0.9)\n"
+                "Mft  vvss pg 0 nfin fins=7\n"
+                "Xcell bl blb wl vdd vvss sr ctrl nvcell\n"
+              : "Vpg  pg  0 PWL(60n 0 60.5n 1.0 2105n 1.0 2105.5n 0)\n"
+                "Mpsw vvdd pg vdd pfin fins=7 vth=0.40\n"
+                "Xcell bl blb wl vvdd 0 sr ctrl nvcell\n";
+  deck +=
+      "Vwl  wl  0 PWL(1n 0 1.05n 0.9 3n 0.9 3.05n 0"
+      " 30n 0 30.05n 0.9 32n 0.9 32.05n 0)\n"
+      "Vbl  bl  0 DC 0.9\n"
+      "Vblb blb 0 PWL(0.5n 0.9 0.6n 0 3.4n 0 3.5n 0.9"
+      " 29.5n 0.9 29.6n 0 32.4n 0 32.5n 0.9)\n"
+      "Vsr  sr  0 PWL(10n 0 10.2n 0.65 17n 0.65 17.2n 0)\n"
+      "Vctl ctrl 0 DC 0\n"
+      ".tran 2120n 10n\n"
+      ".end\n";
+  return deck;
 }
 
 TEST(PowerEntryPoints, SharedTimelineAndDomainsMatchStandalone) {
@@ -346,61 +390,69 @@ TEST(PowerEntryPoints, SharedTimelineAndDomainsMatchStandalone) {
   decks.emplace_back(
       "8x8 power deck",
       parser.parse(testsupport::make_power_violation_array_netlist()));
-  // An NMOS footer cuts the cell's ground while Vpg is low.  The timeline
-  // heuristics read a power-gate line as off while it is high, so only the
-  // domain map knows this off window: a dataflow pass that dropped the
-  // shared map would report differently here, and nowhere in the corpus.
-  decks.emplace_back(
-      "footer deck",
-      parser.parse("footer-gated cell: write, store, write, gate-off\n"
-                   ".subckt nvcell bl blb wl vvss sr ctrl\n"
-                   "Mpu1 q  qb vdd  pfin\n"
-                   "Mpd1 q  qb vvss nfin\n"
-                   "Mpu2 qb q  vdd  pfin\n"
-                   "Mpd2 qb q  vvss nfin\n"
-                   "Max1 bl  wl q  nfin\n"
-                   "Max2 blb wl qb nfin\n"
-                   "Mps1 q  sr y1 nfin\n"
-                   "Y1   ctrl y1 P\n"
-                   "Mps2 qb sr y2 nfin\n"
-                   "Y2   ctrl y2 P\n"
-                   ".ends\n"
-                   "Vdd  vdd 0 DC 0.9\n"
-                   "Vpg  pg  0 PWL(0 0.9 60n 0.9 60.5n 0 2105n 0 2105.5n 0.9)\n"
-                   "Mft  vvss pg 0 nfin fins=7\n"
-                   "Vwl  wl  0 PWL(1n 0 1.05n 0.9 3n 0.9 3.05n 0"
-                   " 30n 0 30.05n 0.9 32n 0.9 32.05n 0)\n"
-                   "Vbl  bl  0 DC 0.9\n"
-                   "Vblb blb 0 PWL(0.5n 0.9 0.6n 0 3.4n 0 3.5n 0.9"
-                   " 29.5n 0.9 29.6n 0 32.4n 0 32.5n 0.9)\n"
-                   "Vsr  sr  0 PWL(10n 0 10.2n 0.65 17n 0.65 17.2n 0)\n"
-                   "Vctl ctrl 0 DC 0\n"
-                   "Xcell bl blb wl vvss sr ctrl nvcell\n"
-                   ".tran 2120n 10n\n"
-                   ".end\n"));
+  // Only the domain map knows that Vpg drives an NMOS footer, which cuts
+  // the cell's ground while the line is low.
+  const std::string footer = "footer deck";
+  decks.emplace_back(footer, parser.parse(gated_cell_deck(true)));
 
-  std::size_t n_power = 0, n_data = 0;
+  std::size_t n_protocol = 0, n_power = 0, n_data = 0;
   for (const auto& [name, net] : decks) {
     SCOPED_TRACE(name);
     const spice::ParsedNetlist& nl = *net;
     const spice::Circuit& ckt = nl.circuit();
     const temporal::Timeline tl = temporal::extract_timeline(nl);
-    const DomainMap domains = extract_domains(ckt, &nl);
+    const temporal::TemporalOptions topt;
+    const Schedule shared(tl, topt.vdd, topt.clock_period, &ckt, &nl);
 
+    const auto protocol_alone = temporal::check_timeline(tl, topt);
+    if (name == footer) {
+      // Without a circuit the protocol pass reads the footer's line as a
+      // header's: only a Schedule with the domain map gets it right.
+      EXPECT_NE(rendered(temporal::check_timeline(tl, topt, &shared)),
+                rendered(protocol_alone));
+    } else {
+      EXPECT_EQ(rendered(temporal::check_timeline(tl, topt, &shared)),
+                rendered(protocol_alone));
+    }
     const auto power_alone = check_power(ckt, tl, &nl, {});
-    EXPECT_EQ(rendered(check_power(ckt, tl, &nl, {}, &domains)),
+    EXPECT_EQ(rendered(check_power(ckt, tl, &nl, {}, &shared)),
               rendered(power_alone));
     const dataflow::DataflowOptions dopt;
     const auto data_alone = dataflow::check_dataflow(tl, dopt, &ckt, &nl);
     EXPECT_EQ(
-        rendered(dataflow::check_dataflow(tl, dopt, &ckt, &nl, &domains)),
+        rendered(dataflow::check_dataflow(tl, dopt, &ckt, &nl, &shared)),
         rendered(data_alone));
+    n_protocol += protocol_alone.size();
     n_power += power_alone.size();
     n_data += data_alone.size();
   }
   // Every pass has findings to compare somewhere in the corpus.
+  EXPECT_GT(n_protocol, 0u);
   EXPECT_GT(n_power, 0u);
   EXPECT_GT(n_data, 0u);
+}
+
+// A footer's gate line is read low-is-off: the footer twin reports the
+// header twin's lost write at the same gate-off edge, and neither reports
+// a store pulse inside a power-off window.
+TEST(PowerEntryPoints, FooterAndHeaderTwinsLoseTheSameWrite) {
+  for (const bool footer : {false, true}) {
+    SCOPED_TRACE(footer ? "NMOS footer" : "PMOS header");
+    spice::NetlistParser parser;
+    const auto net = parser.parse(gated_cell_deck(footer));
+    const LintReport report = net->lint();
+    for (const char* rule :
+         {rules::kProtocolStoreMissing, rules::kDataLostInOffWindow}) {
+      const auto found = of_rule(report.diagnostics(), rule);
+      ASSERT_EQ(found.size(), 1u) << rule << "\n" << report.format();
+      EXPECT_NE(found[0].message.find("power gated off at 60.000 ns"),
+                std::string::npos)
+          << found[0].message;
+    }
+    EXPECT_TRUE(
+        of_rule(report.diagnostics(), rules::kProtocolRestoreOrder).empty())
+        << report.format();
+  }
 }
 
 // ---- no false positives -----------------------------------------------------
