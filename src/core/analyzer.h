@@ -17,7 +17,9 @@ class PowerGatingAnalyzer {
   // the process-wide cache in sram/characterize_cache.h, so repeated
   // analyzers at the same parameter point are cheap).  The NV-SRAM cell is
   // characterized on a second thread while the calling thread
-  // characterizes the 6T cell; the results are bit for bit those of two
+  // characterizes the 6T cell, and each characterization runs its sleep
+  // script and static-power corners on a thread of its own, so four
+  // scripts run at once.  The results are bit for bit those of two
   // CellCharacterizer::characterize calls.  When both throw, the 6T cell's
   // exception propagates.  `max_wall_seconds` bounds the whole
   // characterization phase: both cells run against one wall-clock deadline,

@@ -430,6 +430,8 @@ class Linter {
   void check_temporal() {
     const temporal::Timeline timeline = temporal::extract_timeline(*netlist_);
     temporal::TemporalOptions topt;
+    // The deck's own rail, by the rule its power state uses.
+    topt.vdd = timeline.nominal_rail();
     if (const auto& arch = netlist_->arch_annotation()) {
       // Validated at parse time; unknown values never reach the linter.
       if (auto a = temporal::arch_from_string(*arch)) topt.arch = *a;

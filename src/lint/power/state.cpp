@@ -91,13 +91,7 @@ std::vector<Window> windows_subtract(const std::vector<Window>& a,
 PowerState compute_power_state(const DomainMap& map,
                                const Timeline& timeline) {
   PowerState state;
-  state.vdd = 0.0;
-  for (const auto& s : timeline.signals) {
-    if (s.role == temporal::SignalRole::kPower) {
-      state.vdd = std::max(state.vdd, s.max_level());
-    }
-  }
-  if (state.vdd <= 0.0) state.vdd = 0.9;
+  state.vdd = timeline.nominal_rail();
   state.threshold = 0.5 * state.vdd;
 
   const double t_stop = timeline.t_stop;

@@ -33,8 +33,7 @@ struct DomainSchedule {
 
 struct PowerState {
   std::vector<DomainSchedule> schedules;  // indexed by domain id
-  // The highest level of the power-role signals in the timeline, 0.9 V
-  // when it has none.
+  // The timeline's nominal rail (Timeline::nominal_rail).
   double vdd = 0.9;
   double threshold = 0.45;  // a gate beyond half of vdd is asserted
 

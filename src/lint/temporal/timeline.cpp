@@ -116,6 +116,14 @@ std::vector<const SignalTimeline*> Timeline::with_role(SignalRole role) const {
   return out;
 }
 
+double Timeline::nominal_rail() const {
+  double vdd = 0.0;
+  for (const auto& s : signals) {
+    if (s.role == SignalRole::kPower) vdd = std::max(vdd, s.max_level());
+  }
+  return vdd > 0.0 ? vdd : 0.9;
+}
+
 std::string Timeline::phase_at(double t) const {
   for (const PhaseSpan& ph : phases) {
     if (t >= ph.t0 && t <= ph.t1) return ph.name;

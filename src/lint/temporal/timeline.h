@@ -74,6 +74,10 @@ struct Timeline {
   const SignalTimeline* find_role(SignalRole role) const;
   std::vector<const SignalTimeline*> with_role(SignalRole role) const;
 
+  // The nominal rail: the highest level of the power-role signals, 0.9 V
+  // when there are none.
+  double nominal_rail() const;
+
   // Name of the phase covering time t ("" when none / unknown).
   std::string phase_at(double t) const;
 

@@ -32,9 +32,10 @@ TranOptions TranOptions::relaxed(int attempt) const {
 }
 
 TranAnalysis::TranAnalysis(Circuit& circuit, TranOptions options,
-                           std::vector<Probe> probes)
+                           std::vector<Probe> probes,
+                           std::vector<double> instants)
     : circuit_(circuit), options_(options), probes_(std::move(probes)),
-      layout_(circuit.build_layout()) {}
+      instants_(std::move(instants)), layout_(circuit.build_layout()) {}
 
 double TranAnalysis::source_energy(const std::string& name) const {
   for (std::size_t i = 0; i < sources_.size(); ++i) {
@@ -88,7 +89,7 @@ Waveform TranAnalysis::run(const DCSolution* initial) {
   std::vector<std::string> labels;
   labels.reserve(probes_.size());
   for (const auto& p : probes_) labels.push_back(p.label);
-  Waveform wave(std::move(labels));
+  Waveform wave(std::move(labels), instants_);
 
   std::vector<double> power_prev(sources_.size());
 
@@ -102,9 +103,10 @@ Waveform TranAnalysis::run(const DCSolution* initial) {
     }
   }
 
+  std::vector<double> values;
+  values.reserve(probes_.size());
   auto record = [&](double t, const SolutionView& view) {
-    std::vector<double> values;
-    values.reserve(probes_.size());
+    values.clear();
     for (std::size_t k = 0; k < probes_.size(); ++k) {
       const std::size_t slot = energy_slot[k];
       const double energy = slot < sources_.size() ? energies_[slot] : 0.0;

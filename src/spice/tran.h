@@ -61,7 +61,10 @@ struct TranStats {
 
 class TranAnalysis {
  public:
-  TranAnalysis(Circuit& circuit, TranOptions options, std::vector<Probe> probes);
+  // `probes` are recorded at every accepted step or, given `instants`, into
+  // a waveform thinned to the samples that reading them needs (Waveform).
+  TranAnalysis(Circuit& circuit, TranOptions options, std::vector<Probe> probes,
+               std::vector<double> instants = {});
 
   // Runs DC (unless `initial` given) then integrates to t_stop.
   // Throws SolverError (with diagnostics) when no convergence is possible,
@@ -78,6 +81,7 @@ class TranAnalysis {
   Circuit& circuit_;
   TranOptions options_;
   std::vector<Probe> probes_;
+  std::vector<double> instants_;
   MnaLayout layout_;
   TranStats stats_;
   // The circuit's voltage sources, in device order, and the energy each has

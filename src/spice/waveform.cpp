@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace nvsram::spice {
 
@@ -39,20 +41,51 @@ Probe Probe::source_energy(const VSource* source, std::string label) {
   return p;
 }
 
-Waveform::Waveform(std::vector<std::string> labels) : labels_(std::move(labels)) {
+Waveform::Waveform(std::vector<std::string> labels,
+                   std::vector<double> instants)
+    : labels_(std::move(labels)), instants_(std::move(instants)) {
   series_.resize(labels_.size());
   for (std::size_t i = 0; i < labels_.size(); ++i) {
     label_index_.emplace(labels_[i], i);
   }
+  std::sort(instants_.begin(), instants_.end());
+  instants_.erase(std::unique(instants_.begin(), instants_.end()),
+                  instants_.end());
 }
 
 void Waveform::append(double time, const std::vector<double>& values) {
   if (values.size() != series_.size()) {
     throw std::invalid_argument("Waveform::append: value count mismatch");
   }
+  if (thinned()) {
+    // The instants in [latest sample, time) lie between the latest sample
+    // and this one, so both bracket them.  A latest sample that brackets
+    // nothing is dropped.  The first sample has no predecessor: it stays,
+    // and it answers the instants before it.
+    bool brackets = false;
+    while (next_instant_ < instants_.size() && instants_[next_instant_] < time) {
+      ++next_instant_;
+      brackets = true;
+    }
+    if (time_.empty()) {
+      brackets = true;
+    } else if (!brackets && !keep_latest_) {
+      time_.pop_back();
+      for (auto& s : series_) s.pop_back();
+    }
+    keep_latest_ = brackets;
+  }
   time_.push_back(time);
   for (std::size_t i = 0; i < values.size(); ++i) {
     series_[i].push_back(values[i]);
+  }
+}
+
+void Waveform::require_full(const char* what) const {
+  if (thinned()) {
+    throw std::logic_error(std::string("Waveform::") + what +
+                           ": the waveform keeps only the samples around its "
+                           "requested instants");
   }
 }
 
@@ -77,6 +110,11 @@ std::vector<std::string> Waveform::labels() const { return labels_; }
 double Waveform::value_at(const std::string& label, double t) const {
   const auto& s = series(label);
   if (time_.empty()) throw std::logic_error("Waveform: empty");
+  if (thinned() && !std::binary_search(instants_.begin(), instants_.end(), t)) {
+    std::ostringstream msg;
+    msg << "Waveform::value_at: " << t << " s is not a requested instant";
+    throw std::logic_error(msg.str());
+  }
   if (t <= time_.front()) return s.front();
   if (t >= time_.back()) return s.back();
   const auto it = std::upper_bound(time_.begin(), time_.end(), t);
@@ -92,6 +130,7 @@ double Waveform::final_value(const std::string& label) const {
 }
 
 double Waveform::integral(const std::string& label, double t0, double t1) const {
+  require_full("integral");
   const auto& s = series(label);
   if (time_.size() < 2 || t1 <= t0) return 0.0;
   double sum = 0.0;
@@ -114,17 +153,20 @@ double Waveform::average(const std::string& label, double t0, double t1) const {
 }
 
 double Waveform::maximum(const std::string& label) const {
+  require_full("maximum");
   const auto& s = series(label);
   return *std::max_element(s.begin(), s.end());
 }
 
 double Waveform::minimum(const std::string& label) const {
+  require_full("minimum");
   const auto& s = series(label);
   return *std::min_element(s.begin(), s.end());
 }
 
 std::optional<double> Waveform::cross_time(const std::string& label, double level,
                                            double t_from) const {
+  require_full("cross_time");
   const auto& s = series(label);
   for (std::size_t i = 1; i < time_.size(); ++i) {
     if (time_[i] < t_from) continue;
@@ -141,6 +183,7 @@ std::optional<double> Waveform::cross_time(const std::string& label, double leve
 }
 
 void Waveform::write_csv(const std::string& path) const {
+  require_full("write_csv");
   std::ofstream out(path);
   if (!out) throw std::runtime_error("Waveform::write_csv: cannot open " + path);
   out << "time";

@@ -33,12 +33,25 @@ struct Probe {
 };
 
 // Sampled simulation output: a shared time axis plus named series.
+//
+// A waveform built with `instants` is thinned: a caller that reads its
+// series only at those times keeps only the samples the reads need.
+// append() then keeps the first sample, the latest one, and for each instant
+// the last sample at or before it and the first sample after it, which are
+// the two samples value_at() interpolates between.  So value_at() at a
+// requested instant returns the same bits as on the full waveform, provided
+// samples arrive in time order, as a transient appends them.  A thinned
+// waveform throws std::logic_error from value_at() at any other time and
+// from every measurement that needs the whole series (integral, average,
+// maximum, minimum, cross_time, write_csv); final_value() still holds.
 class Waveform {
  public:
   Waveform() = default;
-  explicit Waveform(std::vector<std::string> labels);
+  explicit Waveform(std::vector<std::string> labels,
+                    std::vector<double> instants = {});
 
   void append(double time, const std::vector<double>& values);
+  bool thinned() const { return !instants_.empty(); }
 
   std::size_t samples() const { return time_.size(); }
   const std::vector<double>& time() const { return time_; }
@@ -63,11 +76,19 @@ class Waveform {
 
  private:
   std::size_t index_of(const std::string& label) const;
+  // Throws std::logic_error naming `what` on a thinned waveform.
+  void require_full(const char* what) const;
 
   std::vector<double> time_;
   std::vector<std::string> labels_;
   std::unordered_map<std::string, std::size_t> label_index_;
   std::vector<std::vector<double>> series_;
+  // Thinning: the requested instants, sorted and unique; the first one not
+  // yet at or before the latest sample; whether the latest sample brackets
+  // an instant from above (or is the first sample) and so must stay.
+  std::vector<double> instants_;
+  std::size_t next_instant_ = 0;
+  bool keep_latest_ = false;
 };
 
 }  // namespace nvsram::spice

@@ -1,6 +1,7 @@
 #include "sram/characterize.h"
 
 #include <cmath>
+#include <future>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -40,6 +41,146 @@ void gate_schedule(const CellTestbench& tb, int relax_attempt) {
   if (report.has_errors()) throw lint::LintError(std::move(report));
 }
 
+// The budget left for the next analysis of a characterization; throws
+// util::WatchdogError, naming `step`, once the phase has expired.
+double remaining(const util::Deadline& phase, const char* step) {
+  phase.check(step);
+  return phase.remaining_seconds();
+}
+
+// The op script's writes, reads, store and restore: t_clk, the access and
+// NV energies, the verified flags and the script's recoveries.
+CellEnergetics op_energetics(const models::PaperParams& pp, CellKind kind,
+                             int relax_attempt, const util::Deadline& phase) {
+  CellEnergetics out;
+  out.t_clk = pp.clock_period();
+
+  CellTestbench tb(
+      kind, pp,
+      TestbenchOptions{
+          .max_wall_seconds = remaining(phase, "characterize: op script"),
+          .relax_attempt = relax_attempt});
+  tb.op_write(true);
+  tb.op_write(false);
+  tb.op_write(true);   // measured write (steady-state bitline toggling)
+  tb.op_read();        // warm-up read
+  tb.op_read();        // measured read
+  tb.op_idle(2e-9);
+  if (kind == CellKind::kNvSram) {
+    tb.op_store();
+    // Long enough for virtual VDD to collapse fully so the restore
+    // genuinely recovers data from the MTJs rather than from residual node
+    // charge.
+    tb.op_shutdown(3e-6);
+    tb.op_restore();
+    tb.op_idle(2e-9);
+  }
+  gate_schedule(tb, relax_attempt);
+
+  // The waveform keeps only the samples around the instants read below: the
+  // measured phases' bounds and the restore-verification instants.
+  const PhaseWindow wr = tb.phase("write1", 1);
+  const PhaseWindow rd = tb.phase("read", 1);
+  std::vector<double> instants{wr.t0, wr.t1, rd.t0, rd.t1};
+  PhaseWindow store, rs;
+  double t_vv = 0.0;
+  double t_final = 0.0;
+  if (kind == CellKind::kNvSram) {
+    store = {"store", tb.phase("store_h").t0, tb.phase("store_l").t1};
+    rs = tb.phase("restore");
+    // Virtual VDD just before the shutdown ends, the cell once restored.
+    t_vv = tb.phase("shutdown").t1 - 1e-9;
+    t_final = tb.now() - 0.5e-9;
+    instants.insert(instants.end(),
+                    {store.t0, store.t1, rs.t0, rs.t1, t_vv, t_final});
+  }
+  const auto res = tb.run(std::move(instants));
+  out.gmin_recoveries = res.stats.gmin_recoveries;
+  out.source_recoveries = res.stats.source_recoveries;
+  out.e_write = res.energy(wr);
+  out.e_read = res.energy(rd);
+
+  if (kind == CellKind::kNvSram) {
+    out.e_store = res.energy(store);
+    out.t_store = store.duration();
+    out.e_restore = res.energy(rs);
+    out.t_restore = rs.duration();
+
+    // Store verification: last written data was 1 (Q high), so the Q-side
+    // MTJ must be AP and the QB-side P after the store.
+    out.store_verified =
+        tb.mtj_q()->state() == models::MtjState::kAntiparallel &&
+        tb.mtj_qb()->state() == models::MtjState::kParallel;
+    // Restore verification: virtual VDD must have collapsed during the
+    // shutdown and Q must come back high.
+    const double vv_end = res.wave.value_at("V(VVDD)", t_vv);
+    const double q_final = res.wave.value_at("V(Q)", t_final);
+    const double qb_final = res.wave.value_at("V(QB)", t_final);
+    out.restore_verified = vv_end < 0.25 * pp.vdd &&
+                           q_final > 0.8 * pp.vdd &&
+                           qb_final < 0.2 * pp.vdd;
+  }
+  return out;
+}
+
+// The sleep script with its DC subtraction and the static-power corners:
+// e_sleep_transition, the static powers and the script's recoveries.
+CellEnergetics idle_energetics(const models::PaperParams& pp, CellKind kind,
+                               int relax_attempt,
+                               const util::Deadline& phase) {
+  CellEnergetics out;
+
+  // ---- sleep transition energy (separate short script) ----
+  {
+    CellTestbench tbs(
+        kind, pp,
+        TestbenchOptions{
+            .max_wall_seconds = remaining(phase, "characterize: sleep"),
+            .relax_attempt = relax_attempt});
+    tbs.op_write(true);
+    tbs.op_idle(2e-9);
+    tbs.op_sleep(60e-9);
+    tbs.op_idle(2e-9);
+    gate_schedule(tbs, relax_attempt);
+    const PhaseWindow slp = tbs.phase("sleep");
+    const auto rs = tbs.run({slp.t0, slp.t1});
+    out.gmin_recoveries = rs.stats.gmin_recoveries;
+    out.source_recoveries = rs.stats.source_recoveries;
+    const double e_total = rs.energy(slp);
+    // Subtract the static retention part to isolate the transition cost.
+    CellTestbench tbd(
+        kind, pp,
+        TestbenchOptions{
+            .ideal_bitlines = true,
+            .max_wall_seconds = remaining(phase, "characterize: sleep"),
+            .relax_attempt = relax_attempt});
+    const double p_slp = tbd.static_power(CellTestbench::StaticMode::kSleep);
+    out.e_sleep_transition = std::max(0.0, e_total - p_slp * slp.duration());
+  }
+
+  // ---- static powers (DC, ideal bitlines) ----
+  using SM = CellTestbench::StaticMode;
+  const std::vector<std::pair<SM, bool>> corners = {{SM::kNormal, true},
+                                                    {SM::kNormal, false},
+                                                    {SM::kSleep, true},
+                                                    {SM::kSleep, false},
+                                                    {SM::kShutdown, true}};
+  CellTestbench tbd(
+      kind, pp,
+      TestbenchOptions{
+          .ideal_bitlines = true,
+          .max_wall_seconds = remaining(phase, "characterize: static"),
+          .relax_attempt = relax_attempt});
+  std::vector<double> p(corners.size(), 0.0);
+  for (std::size_t i = 0; i < corners.size(); ++i) {
+    p[i] = tbd.static_power(corners[i].first, corners[i].second);
+  }
+  out.p_static_normal = 0.5 * (p[0] + p[1]);
+  out.p_static_sleep = 0.5 * (p[2] + p[3]);
+  out.p_static_shutdown = p[4];
+  return out;
+}
+
 }  // namespace
 
 std::string CellEnergetics::describe() const {
@@ -77,120 +218,23 @@ CellEnergetics CellCharacterizer::characterize(CellKind kind) const {
   // analysis below is handed whatever budget remains, so a stuck solve in
   // any step throws util::WatchdogError instead of outliving the phase.
   const util::Deadline phase(max_wall_seconds_);
-  auto remaining = [&phase](const char* step) {
-    phase.check(step);
-    return phase.remaining_seconds();
-  };
 
-  CellEnergetics out;
-  out.t_clk = pp_.clock_period();
-
-  // ---- transient script: writes, reads, (store, shutdown, restore) ----
-  // Scoped: the testbench and the recorded waveform (the NV-SRAM script's
-  // is thousands of samples of every probe) are freed before the sleep
-  // script builds its own.
-  {
-    CellTestbench tb(
-        kind, pp_,
-        TestbenchOptions{
-            .max_wall_seconds = remaining("characterize: op script"),
-            .relax_attempt = relax_attempt_});
-    tb.op_write(true);
-    tb.op_write(false);
-    tb.op_write(true);   // measured write (steady-state bitline toggling)
-    tb.op_read();        // warm-up read
-    tb.op_read();        // measured read
-    tb.op_idle(2e-9);
-    if (kind == CellKind::kNvSram) {
-      tb.op_store();
-      // Long enough for virtual VDD to collapse fully so the restore
-      // genuinely recovers data from the MTJs rather than from residual node
-      // charge.
-      tb.op_shutdown(3e-6);
-      tb.op_restore();
-      tb.op_idle(2e-9);
-    }
-    gate_schedule(tb, relax_attempt_);
-    auto res = tb.run();
-    out.gmin_recoveries += res.stats.gmin_recoveries;
-    out.source_recoveries += res.stats.source_recoveries;
-
-    const auto& wr = res.phase("write1", 1);
-    out.e_write = res.energy(wr);
-    const auto& rd = res.phase("read", 1);
-    out.e_read = res.energy(rd);
-
-    if (kind == CellKind::kNvSram) {
-      const auto& sh = res.phase("store_h");
-      const auto& sl = res.phase("store_l");
-      out.e_store = res.energy(sh.t0, sl.t1);
-      out.t_store = sl.t1 - sh.t0;
-      const auto& rs = res.phase("restore");
-      out.e_restore = res.energy(rs);
-      out.t_restore = rs.duration();
-
-      // Store verification: last written data was 1 (Q high), so the Q-side
-      // MTJ must be AP and the QB-side P after the store.
-      out.store_verified =
-          tb.mtj_q()->state() == models::MtjState::kAntiparallel &&
-          tb.mtj_qb()->state() == models::MtjState::kParallel;
-      // Restore verification: virtual VDD must have collapsed during the
-      // shutdown and Q must come back high.
-      const auto& sd = res.phase("shutdown");
-      const double vv_end = res.wave.value_at("V(VVDD)", sd.t1 - 1e-9);
-      const double q_final = res.wave.value_at("V(Q)", tb.now() - 0.5e-9);
-      const double qb_final = res.wave.value_at("V(QB)", tb.now() - 0.5e-9);
-      out.restore_verified = vv_end < 0.25 * pp_.vdd &&
-                             q_final > 0.8 * pp_.vdd &&
-                             qb_final < 0.2 * pp_.vdd;
-    }
-  }
-
-  // ---- sleep transition energy (separate short script) ----
-  {
-    CellTestbench tbs(
-        kind, pp_,
-        TestbenchOptions{.max_wall_seconds = remaining("characterize: sleep"),
-                         .relax_attempt = relax_attempt_});
-    tbs.op_write(true);
-    tbs.op_idle(2e-9);
-    tbs.op_sleep(60e-9);
-    tbs.op_idle(2e-9);
-    gate_schedule(tbs, relax_attempt_);
-    auto rs = tbs.run();
-    out.gmin_recoveries += rs.stats.gmin_recoveries;
-    out.source_recoveries += rs.stats.source_recoveries;
-    const auto& slp = rs.phase("sleep");
-    const double e_total = rs.energy(slp);
-    // Subtract the static retention part to isolate the transition cost.
-    CellTestbench tbd(
-        kind, pp_,
-        TestbenchOptions{.ideal_bitlines = true,
-                         .max_wall_seconds = remaining("characterize: sleep"),
-                         .relax_attempt = relax_attempt_});
-    const double p_slp = tbd.static_power(CellTestbench::StaticMode::kSleep);
-    out.e_sleep_transition = std::max(0.0, e_total - p_slp * slp.duration());
-  }
-
-  // ---- static powers (DC, ideal bitlines) ----
-  using SM = CellTestbench::StaticMode;
-  const std::vector<std::pair<SM, bool>> corners = {{SM::kNormal, true},
-                                                    {SM::kNormal, false},
-                                                    {SM::kSleep, true},
-                                                    {SM::kSleep, false},
-                                                    {SM::kShutdown, true}};
-  CellTestbench tbd(
-      kind, pp_,
-      TestbenchOptions{.ideal_bitlines = true,
-                       .max_wall_seconds = remaining("characterize: static"),
-                       .relax_attempt = relax_attempt_});
-  std::vector<double> p(corners.size(), 0.0);
-  for (std::size_t i = 0; i < corners.size(); ++i) {
-    p[i] = tbd.static_power(corners[i].first, corners[i].second);
-  }
-  out.p_static_normal = 0.5 * (p[0] + p[1]);
-  out.p_static_sleep = 0.5 * (p[2] + p[3]);
-  out.p_static_shutdown = p[4];
+  // The sleep script, its DC subtraction and the static-power corners share
+  // nothing with the op script but the parameters and the deadline, so they
+  // run on a second thread while this one runs the op script.  If the op
+  // script throws, the future's destructor waits for that thread and drops
+  // its result or error: the op script's error surfaces.
+  auto idle = std::async(std::launch::async, [this, kind, &phase] {
+    return idle_energetics(pp_, kind, relax_attempt_, phase);
+  });
+  CellEnergetics out = op_energetics(pp_, kind, relax_attempt_, phase);
+  const CellEnergetics idle_out = idle.get();
+  out.e_sleep_transition = idle_out.e_sleep_transition;
+  out.p_static_normal = idle_out.p_static_normal;
+  out.p_static_sleep = idle_out.p_static_sleep;
+  out.p_static_shutdown = idle_out.p_static_shutdown;
+  out.gmin_recoveries += idle_out.gmin_recoveries;
+  out.source_recoveries += idle_out.source_recoveries;
   return out;
 }
 

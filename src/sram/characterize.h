@@ -63,7 +63,9 @@ class CellCharacterizer {
                              double max_wall_seconds = 0.0,
                              int relax_attempt = 0);
 
-  // Runs the characterization script for a 6T or NV-SRAM cell.
+  // Runs the characterization scripts for a 6T or NV-SRAM cell: the op
+  // script on the calling thread, and the sleep script with the static-power
+  // corners on a second one.  An error of the op script surfaces first.
   CellEnergetics characterize(CellKind kind) const;
 
   // ---- Fig. 3(a): normal-mode leakage vs V_CTRL ----

@@ -164,13 +164,14 @@ void NvffTestbench::op_restore() {
   script_.advance_to(t1 + 4 * kSlew);
 }
 
-Script::Result NvffTestbench::run() {
+Script::Result NvffTestbench::run(std::vector<double> instants) {
   std::vector<spice::Probe> probes;
   probes.push_back(spice::Probe::node_voltage(handles_.q, "V(Q)"));
   probes.push_back(spice::Probe::node_voltage(handles_.qb, "V(QB)"));
   probes.push_back(
       spice::Probe::node_voltage(circuit_.find_node("vvdd"), "V(VVDD)"));
-  return script_.run(circuit_, std::move(probes));
+  return script_.run(circuit_, std::move(probes), {}, /*probe_power=*/false,
+                     std::move(instants));
 }
 
 NvffEnergetics characterize_nvff(const models::PaperParams& pp) {
@@ -185,33 +186,38 @@ NvffEnergetics characterize_nvff(const models::PaperParams& pp) {
   tb.op_shutdown(3e-6);
   tb.op_restore();
   tb.op_hold(3e-9);
-  auto res = tb.run();
 
-  out.e_clock = res.energy(res.phase("clock1", 1));
-  const auto& sh = res.phase("store_h");
-  const auto& sl = res.phase("store_l");
+  // Every instant read below; the 3 us shutdown would otherwise keep
+  // thousands of samples for these few values.
+  const PhaseWindow clock = tb.phase("clock1", 1);
+  const PhaseWindow sh = tb.phase("store_h");
+  const PhaseWindow sl = tb.phase("store_l");
+  const PhaseWindow rs = tb.phase("restore");
+  const PhaseWindow hold = tb.phase("hold", 0);
+  const PhaseWindow sd = tb.phase("shutdown");
+  // Shutdown static power from the tail of the gated window (rail collapsed).
+  const double tail = sd.t1 - 0.5e-6;
+  const double t_vv = sd.t1 - 1e-9;
+  const double t_final = tb.now() - 0.5e-9;
+  auto res = tb.run({clock.t0, clock.t1, sh.t0, sl.t1, rs.t0, rs.t1, hold.t0,
+                     hold.t1, tail, sd.t1, t_vv, t_final});
+
+  out.e_clock = res.energy(clock);
   out.e_store = res.energy(sh.t0, sl.t1);
   out.t_store = sl.t1 - sh.t0;
-  const auto& rs = res.phase("restore");
   out.e_restore = res.energy(rs);
   out.t_restore = rs.duration();
-
-  const auto& hold = res.phase("hold", 0);
   out.p_static_hold = res.energy(hold) / hold.duration();
 
   out.store_verified =
       tb.mtj_q()->state() == models::MtjState::kAntiparallel &&
       tb.mtj_qb()->state() == models::MtjState::kParallel;
-  const auto& sd = res.phase("shutdown");
-  const double vv = res.wave.value_at("V(VVDD)", sd.t1 - 1e-9);
-  const double q = res.wave.value_at("V(Q)", tb.now() - 0.5e-9);
-  const double qb = res.wave.value_at("V(QB)", tb.now() - 0.5e-9);
+  const double vv = res.wave.value_at("V(VVDD)", t_vv);
+  const double q = res.wave.value_at("V(Q)", t_final);
+  const double qb = res.wave.value_at("V(QB)", t_final);
   out.restore_verified = vv < 0.25 * pp.vdd && q > 0.8 * pp.vdd &&
                          qb < 0.2 * pp.vdd;
-
-  // Shutdown static power from the tail of the gated window (rail collapsed).
-  out.p_static_shutdown =
-      res.energy(sd.t1 - 0.5e-6, sd.t1) / 0.5e-6;
+  out.p_static_shutdown = res.energy(tail, sd.t1) / 0.5e-6;
   return out;
 }
 

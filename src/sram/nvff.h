@@ -62,9 +62,15 @@ class NvffTestbench {
   void op_shutdown(double duration);
   void op_restore();
   double now() const { return script_.now(); }
+  // n-th occurrence of a phase with this name (throws if absent).
+  const PhaseWindow& phase(const std::string& name, int occurrence = 0) const {
+    return script_.phase(name, occurrence);
+  }
 
-  // Probes V(Q), V(QB) and V(VVDD), then each driver's energy.
-  Script::Result run();
+  // Probes V(Q), V(QB) and V(VVDD), then each driver's energy.  Given
+  // `instants`, the waveform keeps only the samples that reading it there
+  // needs (Script::run); with none it keeps every sample.
+  Script::Result run(std::vector<double> instants = {});
 
   spice::MTJElement* mtj_q() const { return handles_.mtj_q; }
   spice::MTJElement* mtj_qb() const { return handles_.mtj_qb; }

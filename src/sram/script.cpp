@@ -96,7 +96,8 @@ lint::temporal::Timeline Script::timeline() const {
 
 Script::Result Script::run(spice::Circuit& circuit,
                            std::vector<spice::Probe> probes,
-                           spice::TranOptions topt, bool probe_power) {
+                           spice::TranOptions topt, bool probe_power,
+                           std::vector<double> instants) {
   if (phases_.empty()) {
     throw std::logic_error("Script::run: nothing scheduled");
   }
@@ -118,7 +119,8 @@ Script::Result Script::run(spice::Circuit& circuit,
   topt.t_stop = t_stop();
   topt.dt_max = std::clamp(topt.t_stop / 1000.0, 50e-12, 5e-9);
 
-  spice::TranAnalysis tran(circuit, topt, std::move(probes));
+  spice::TranAnalysis tran(circuit, topt, std::move(probes),
+                           std::move(instants));
   spice::Waveform wave = tran.run();
   return Result{std::move(wave), phases_, std::move(names), tran.stats()};
 }

@@ -106,9 +106,12 @@ class Script {
   // t_stop to its horizon and dt_max to its step ceiling, clamp(t_stop /
   // 1000, 50 ps, 5 ns).  `probes` come first in the waveform, then each
   // driver's "P:" (with `probe_power`) and "E:" series in track order.
-  // Throws std::logic_error when no phase is scheduled.
+  // With `instants` the waveform keeps only the samples that reading it at
+  // those times needs (spice::Waveform), so energy() and value_at() answer
+  // there alone.  Throws std::logic_error when no phase is scheduled.
   Result run(spice::Circuit& circuit, std::vector<spice::Probe> probes,
-             spice::TranOptions topt = {}, bool probe_power = false);
+             spice::TranOptions topt = {}, bool probe_power = false,
+             std::vector<double> instants = {});
 
  private:
   // Horizon of run() and of the exported timeline.

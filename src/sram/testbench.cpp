@@ -235,7 +235,7 @@ lint::temporal::Timeline CellTestbench::export_timeline() const {
   return tl;
 }
 
-Script::Result CellTestbench::run() {
+Script::Result CellTestbench::run(std::vector<double> instants) {
   std::vector<Probe> probes;
   probes.push_back(Probe::node_voltage(cell_.q, "V(Q)"));
   probes.push_back(Probe::node_voltage(cell_.qb, "V(QB)"));
@@ -250,7 +250,8 @@ Script::Result CellTestbench::run() {
                                 .max_wall_seconds = opts_.max_wall_seconds};
   // bench_fig6_power_trace's CSVs print each driver's power column.
   return script_.run(circuit_, std::move(probes),
-                     topt.relaxed(opts_.relax_attempt), /*probe_power=*/true);
+                     topt.relaxed(opts_.relax_attempt), /*probe_power=*/true,
+                     std::move(instants));
 }
 
 // ---- DC helpers ------------------------------------------------------------------

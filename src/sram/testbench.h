@@ -93,8 +93,10 @@ class CellTestbench {
 
   // ---- execution ----
   // Probes V(Q), V(QB), V(VVDD), V(BL), V(BLB), I(MTJQ) and I(MTJQB) (NV
-  // only), then each driver's power and energy.
-  Script::Result run();
+  // only), then each driver's power and energy.  Given `instants`, the
+  // waveform keeps only the samples that reading it there needs
+  // (Script::run); with none it keeps every sample.
+  Script::Result run(std::vector<double> instants = {});
 
   // ---- DC measurements ----
   struct BiasSet {

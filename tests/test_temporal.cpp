@@ -439,6 +439,50 @@ TEST(RoleAnnotation, DotRoleCardOverridesNameHeuristics) {
   EXPECT_EQ(tl.signals[0].role, SignalRole::kPowerGate);
 }
 
+// ---- the deck's own rail ----
+
+// A cell gated by collapsing its own `vdd` V rail once, 100.5-500 ns: a
+// write, a store before the collapse and a restore straddling the recovery.
+std::string collapsing_rail_deck(const std::string& vdd) {
+  return "cell gated by collapsing its own rail\n"
+         ".subckt nvcell bl blb wl vvdd sr ctrl\n"
+         "Mpu1 q  qb vvdd pfin\n"
+         "Mpd1 q  qb 0    nfin\n"
+         "Mpu2 qb q  vvdd pfin\n"
+         "Mpd2 qb q  0    nfin\n"
+         "Max1 bl  wl q  nfin\n"
+         "Max2 blb wl qb nfin\n"
+         "Mps1 q  sr y1 nfin\n"
+         "Y1   ctrl y1 P\n"
+         "Mps2 qb sr y2 nfin\n"
+         "Y2   ctrl y2 P\n"
+         ".ends\n"
+         "Vdd  vvdd 0 PWL(0 " + vdd + " 100n " + vdd + " 100.5n 0 500n 0 500.5n " +
+         vdd + ")\n"
+         "Vwl  wl  0 PWL(1n 0 1.05n " + vdd + " 3n " + vdd + " 3.05n 0)\n"
+         "Vbl  bl  0 DC " + vdd + "\n"
+         "Vblb blb 0 PWL(0.5n " + vdd + " 0.6n 0 3.4n 0 3.5n " + vdd + ")\n"
+         "Vsr  sr  0 PWL(10n 0 10.1n 0.65 17n 0.65 17.1n 0"
+         " 499n 0 499.1n 0.65 510n 0.65 510.1n 0)\n"
+         "Vctl ctrl 0 DC 0\n"
+         "Xcell bl blb wl vvdd sr ctrl nvcell\n"
+         ".tran 520n 10n\n"
+         ".end\n";
+}
+
+// The linter reads the nominal rail from the deck: a 0.8 V rail is not
+// "below 0.95 of 0.9 V" for its whole run, so neither SR pulse reads as
+// lying inside a power-off window.
+TEST(ProtocolRail, LowerRailThatCollapsesOnceLintsCleanLikeItsTwin) {
+  for (const char* vdd : {"0.9", "0.8"}) {
+    SCOPED_TRACE(std::string("rail ") + vdd + " V");
+    spice::NetlistParser parser;
+    const auto net = parser.parse(collapsing_rail_deck(vdd));
+    const lint::LintReport report = net->lint();
+    EXPECT_TRUE(report.diagnostics().empty()) << report.format();
+  }
+}
+
 // ---- characterization gate + cache ----
 
 TEST(CharacterizeGate, RejectsBadParamsBeforeAnyTransient) {

@@ -3,7 +3,10 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <random>
+#include <vector>
 
 #include "spice/waveform.h"
 
@@ -108,6 +111,88 @@ TEST(WaveformTest, EmptyWaveformMeasurementsThrow) {
   Waveform w({"v"});
   EXPECT_THROW(w.value_at("v", 0.0), std::logic_error);
   EXPECT_THROW(w.final_value("v"), std::logic_error);
+}
+
+// ---- thinned waveforms ----------------------------------------------------
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// The same samples appended to a full waveform and to one thinned to
+// `instants`.
+std::pair<Waveform, Waveform> full_and_thinned(
+    const std::vector<double>& times, const std::vector<double>& instants) {
+  Waveform full({"sin", "sq"});
+  Waveform thin({"sin", "sq"}, instants);
+  for (double t : times) {
+    full.append(t, {std::sin(3.0 * t), t * t});
+    thin.append(t, {std::sin(3.0 * t), t * t});
+  }
+  return {std::move(full), std::move(thin)};
+}
+
+TEST(WaveformThinned, RequestedInstantsReadTheSameBits) {
+  // Samples at 0, 0.5, ..., 10.  Instants: before the first sample, exactly
+  // on a sample, two inside one step, between steps, exactly on the last
+  // sample and after it.
+  std::vector<double> times;
+  for (int i = 0; i <= 20; ++i) times.push_back(0.5 * i);
+  const std::vector<double> instants{-1.0, 3.0, 4.1, 4.3, 7.25, 10.0, 12.0};
+  const auto [full, thin] = full_and_thinned(times, instants);
+  EXPECT_FALSE(full.thinned());
+  EXPECT_TRUE(thin.thinned());
+  EXPECT_EQ(full.samples(), times.size());
+  EXPECT_LT(thin.samples(), full.samples());
+  for (const char* label : {"sin", "sq"}) {
+    for (double t : instants) {
+      EXPECT_TRUE(same_bits(thin.value_at(label, t), full.value_at(label, t)))
+          << label << " at " << t;
+    }
+    EXPECT_TRUE(same_bits(thin.final_value(label), full.final_value(label)));
+  }
+  // Kept: the first and last samples and each instant's bracketing pair
+  // (3 and 3.5, 4 and 4.5, 7 and 7.5).
+  EXPECT_EQ(thin.time(),
+            (std::vector<double>{0.0, 3.0, 3.5, 4.0, 4.5, 7.0, 7.5, 10.0}));
+}
+
+TEST(WaveformThinned, RandomStepsAndInstantsReadTheSameBits) {
+  std::mt19937 rng(7);
+  std::uniform_real_distribution<double> step(1e-3, 1.0);
+  std::vector<double> times{0.0};
+  for (int i = 0; i < 400; ++i) times.push_back(times.back() + step(rng));
+  std::uniform_real_distribution<double> anywhere(-1.0, times.back() + 1.0);
+  std::uniform_int_distribution<std::size_t> sample(0, times.size() - 1);
+  std::vector<double> instants;
+  for (int i = 0; i < 40; ++i) {
+    instants.push_back(anywhere(rng));
+    instants.push_back(times[sample(rng)]);  // exactly on a sample
+  }
+  const auto [full, thin] = full_and_thinned(times, instants);
+  EXPECT_LE(thin.samples(), 2 * instants.size() + 2);
+  for (double t : instants) {
+    EXPECT_TRUE(same_bits(thin.value_at("sin", t), full.value_at("sin", t)))
+        << "at " << t;
+  }
+}
+
+TEST(WaveformThinned, EverythingElseThrows) {
+  std::vector<double> times;
+  for (int i = 0; i <= 10; ++i) times.push_back(i);
+  const auto [full, thin] = full_and_thinned(times, {2.5, 6.0});
+  EXPECT_THROW(thin.value_at("sin", 2.4), std::logic_error);
+  EXPECT_THROW(thin.value_at("sin", 6.5), std::logic_error);
+  EXPECT_THROW(thin.integral("sin", 0.0, 10.0), std::logic_error);
+  EXPECT_THROW(thin.average("sin", 0.0, 10.0), std::logic_error);
+  EXPECT_THROW(thin.maximum("sin"), std::logic_error);
+  EXPECT_THROW(thin.minimum("sin"), std::logic_error);
+  EXPECT_THROW(thin.cross_time("sin", 0.0), std::logic_error);
+  const std::string path = "/tmp/nvsram_waveform_thinned_test.csv";
+  EXPECT_THROW(thin.write_csv(path), std::logic_error);
+  std::remove(path.c_str());
+  // The full waveform answers all of them.
+  EXPECT_NO_THROW(full.value_at("sin", 2.4));
+  EXPECT_NO_THROW(full.integral("sin", 0.0, 10.0));
+  EXPECT_NO_THROW(full.cross_time("sin", 0.0));
 }
 
 }  // namespace
