@@ -1,6 +1,6 @@
 // Simulator-kernel microbenchmarks (google-benchmark): dense, planned-cell
 // and sparse LU, Newton DC solves of the NV-SRAM cell, transient
-// throughput, and the SNM square search.  These are not paper figures; they
+// throughput on the cell and on a 2x16 array, and the SNM square search.  These are not paper figures; they
 // document the substrate's performance.
 #include <benchmark/benchmark.h>
 
@@ -284,6 +284,48 @@ void BM_CellCharacterization(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CellCharacterization)->Unit(benchmark::kMillisecond);
+
+// bench/perf's array_tran item as a kernel: a 2x16 NV-SRAM array written
+// row by row with a fixed pattern, stored row by row, shut down for 3 us,
+// restored, then run() as one transient.  212 unknowns, above
+// linalg::kDenseCutoff, so every Newton iteration streams its stamps into
+// the planned matrix and refactors with SparseLu.  A cell that restores the
+// wrong value is an error.
+void BM_ArrayRoundTrip(benchmark::State& state) {
+  constexpr int kRows = 2;
+  constexpr int kCols = 16;
+  std::mt19937 rng(7);
+  std::vector<std::vector<bool>> data(kRows, std::vector<bool>(kCols));
+  for (auto& row : data) {
+    for (std::size_t c = 0; c < row.size(); ++c) row[c] = (rng() & 1u) != 0;
+  }
+  const auto pp = models::PaperParams::table1();
+  sram::ArrayOptions opts;
+  opts.rows = kRows;
+  opts.cols = kCols;
+  for (auto _ : state) {
+    sram::ArrayTestbench tb(pp, opts);
+    for (int r = 0; r < kRows; ++r) tb.op_write_row(r, data[r]);
+    tb.op_idle(1e-9);
+    tb.op_store_all_rows();
+    tb.op_shutdown_all(3e-6);
+    tb.op_restore_all_rows();
+    tb.op_idle(2e-9);
+    const auto res = tb.run();
+    const double t_end = tb.now() - 0.5e-9;
+    for (int r = 0; r < kRows; ++r) {
+      for (int c = 0; c < kCols; ++c) {
+        const double q =
+            res.wave.value_at(sram::ArrayTestbench::q_label(r, c), t_end);
+        if (data[r][c] ? q < 0.8 * pp.vdd : q > 0.2 * pp.vdd) {
+          state.SkipWithError("a cell restored the wrong value");
+          return;
+        }
+      }
+    }
+  }
+}
+BENCHMARK(BM_ArrayRoundTrip)->Unit(benchmark::kMillisecond);
 
 // The butterfly-curve square search alone, on one mismatched NV-cell read
 // VTC pair (121 points each, sigma_Vth = 30 mV) swept once before timing.

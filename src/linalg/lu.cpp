@@ -117,9 +117,7 @@ double LuFactorization::pivot_ratio() const {
 
 bool PlannedLu::factorize(const CsrMatrix& a) {
   replanned_ = false;
-  if (!planned_ || a.row_ptr() != a_row_ptr_ || a.col_idx() != a_col_idx_) {
-    return factorize_dense(a, /*replan=*/true);
-  }
+  if (!planned_ || !same_pattern(a)) return factorize_dense(a, /*replan=*/true);
   std::fill(val_.begin(), val_.end(), 0.0);
   const std::vector<double>& values = a.values();
   for (std::size_t p = 0; p < values.size(); ++p) val_[scatter_[p]] = values[p];
@@ -160,16 +158,36 @@ bool PlannedLu::factorize(const CsrMatrix& a) {
   return true;
 }
 
+bool PlannedLu::same_pattern(const CsrMatrix& a) {
+  if (a.plan_id() != 0 && a.plan_id() == a_plan_id_) return true;
+  if (a.row_ptr() != a_row_ptr_ || a.col_idx() != a_col_idx_) return false;
+  a_plan_id_ = a.plan_id();
+  return true;
+}
+
 Vector PlannedLu::solve(const Vector& b) const {
-  if (dense_active_) return dense_.solve(b);
+  Vector x;
+  solve_into(b, x);
+  return x;
+}
+
+void PlannedLu::solve_into(const Vector& b, Vector& x) const {
+  if (dense_active_) {
+    x = dense_.solve(b);
+    return;
+  }
   const std::size_t n = diag_.size();
   if (b.size() != n) throw std::invalid_argument("PlannedLu::solve rhs size");
   // Values that can be nonzero, in the dense loops' order.  A -0 on the
   // right or a non-finite result is where a skipped zero could matter.
-  Vector y(n);
+  Vector& y = x;
+  y.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     double sum = b[perm_[i]];
-    if (sum == 0.0 && std::signbit(sum)) return solve_dense_order(b);
+    if (sum == 0.0 && std::signbit(sum)) {
+      x = solve_dense_order(b);
+      return;
+    }
     for (std::size_t s = row_ptr_[i]; s < diag_[i]; ++s) sum -= val_[s] * y[col_[s]];
     y[i] = sum;
   }
@@ -179,9 +197,11 @@ Vector PlannedLu::solve(const Vector& b) const {
       sum -= val_[s] * y[col_[s]];
     }
     y[i] = sum / val_[diag_[i]];
-    if (!std::isfinite(y[i])) return solve_dense_order(b);
+    if (!std::isfinite(y[i])) {
+      x = solve_dense_order(b);
+      return;
+    }
   }
-  return y;
 }
 
 Vector PlannedLu::solve_dense_order(const Vector& b) const {
@@ -293,6 +313,7 @@ void PlannedLu::plan(const CsrMatrix& a, const std::vector<std::size_t>& perm) {
 
   a_row_ptr_ = rp;
   a_col_idx_ = ci;
+  a_plan_id_ = a.plan_id();
   perm_ = perm;
   planned_ = true;
 }

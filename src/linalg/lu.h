@@ -2,6 +2,7 @@
 // and PlannedLu, which reproduces it on the nonzeros of a CsrMatrix.
 #pragma once
 
+#include <cstdint>
 #include <limits>
 #include <optional>
 
@@ -80,6 +81,10 @@ class LuFactorization {
 // diagnostics then stand.  solve() likewise takes the dense order over the
 // whole factor when a result is non-finite or the right-hand side holds a
 // negative zero.
+//
+// A new pattern is told from the matrix's plan id (CsrMatrix::plan_id):
+// the pattern vectors are compared only when the id differs from the one
+// planned for, and an equal pattern adopts the new id.
 class PlannedLu {
  public:
   // Factorizes `a` as LuFactorization::factorize(a.to_dense()) would, with
@@ -89,6 +94,10 @@ class PlannedLu {
   // Solves A x = b; bit-identical to LuFactorization::solve.  Requires
   // factorize() == true.
   Vector solve(const Vector& b) const;
+  // The same into `x` (resized; it must not be `b`), without allocating
+  // once `x` has the size, unless the last factorize() ended in the dense
+  // LU or the dense order has to take over.
+  void solve_into(const Vector& b, Vector& x) const;
 
   // True when the last factorize() ran the dense LU to (re)build the plan:
   // on a new pattern, or when the planned pivot sequence failed to verify.
@@ -101,6 +110,8 @@ class PlannedLu {
   bool non_finite() const { return dense_active_ && dense_.non_finite(); }
 
  private:
+  // True when `a` has the pattern planned for; adopts its plan id if so.
+  bool same_pattern(const CsrMatrix& a);
   // Runs the dense LU on `a`; with `replan`, plans from its pivots.
   bool factorize_dense(const CsrMatrix& a, bool replan);
   void plan(const CsrMatrix& a, const std::vector<std::size_t>& perm);
@@ -116,6 +127,7 @@ class PlannedLu {
   // The plan.  Slots hold the L+U pattern row by row in factor order
   // (ascending columns; L, then the pivot at diag_[i], then U).
   std::vector<std::size_t> a_row_ptr_, a_col_idx_;  // the pattern planned for
+  std::uint64_t a_plan_id_ = 0;                     // and its plan id, if any
   std::vector<std::size_t> perm_;
   std::vector<std::size_t> scatter_;  // CsrMatrix value index -> slot
   std::vector<std::size_t> row_ptr_, col_, diag_;

@@ -1,6 +1,7 @@
 #include "linalg/sparse.h"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 
 namespace nvsram::linalg {
@@ -75,23 +76,43 @@ void CsrMatrix::to_dense_into(DenseMatrix& out) const {
   }
 }
 
+namespace {
+
+// Plan ids: unique in the process, so equal ids mean one plan's pattern.
+std::atomic<std::uint64_t> next_plan_id{1};
+
+}  // namespace
+
 bool CsrAssembler::assemble(const SparseBuilder& builder, CsrMatrix& out) {
-  if (!planned_ || !plan_matches(builder)) {
+  if (!planned() || !plan_matches(builder)) {
     // Position sequence changed (or first call): fall back to the sorting
     // constructor and record its layout for subsequent assemblies.
     out = CsrMatrix(builder);
     replan(builder, out);
+    out.plan_id_ = plan_id_;
     return true;
   }
-  out.n_ = n_;
-  out.row_ptr_ = row_ptr_;
-  out.col_idx_ = col_idx_;
-  out.values_.assign(col_idx_.size(), 0.0);
+  reset(out);
   const auto& t = builder.triplets();
   for (std::size_t i = 0; i < t.size(); ++i) {
     out.values_[slot_[i]] += t[i].value;
   }
   return false;
+}
+
+CsrStream CsrAssembler::stream(CsrMatrix& out) const {
+  reset(out);
+  return CsrStream(out.values_.data(), slot_.data(), slot_.size());
+}
+
+void CsrAssembler::reset(CsrMatrix& out) const {
+  if (out.plan_id_ != plan_id_) {
+    out.n_ = n_;
+    out.row_ptr_ = row_ptr_;
+    out.col_idx_ = col_idx_;
+    out.plan_id_ = plan_id_;
+  }
+  out.values_.assign(col_idx_.size(), 0.0);
 }
 
 bool CsrAssembler::plan_matches(const SparseBuilder& builder) const {
@@ -121,7 +142,7 @@ void CsrAssembler::replan(const SparseBuilder& builder,
     const auto it = std::lower_bound(begin, end, t[i].col);
     slot_[i] = static_cast<std::size_t>(it - col_idx_.begin());
   }
-  planned_ = true;
+  plan_id_ = next_plan_id.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace nvsram::linalg

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "linalg/dense.h"
@@ -60,6 +61,12 @@ class CsrMatrix {
   const std::vector<std::size_t>& col_idx() const { return col_idx_; }
   const std::vector<double>& values() const { return values_; }
 
+  // The id of the CsrAssembler plan whose pattern this matrix holds, or 0
+  // for a matrix built any other way.  Plan ids are unique in the process,
+  // so two matrices with the same nonzero id have the same pattern, and a
+  // factorization can compare ids before it compares row_ptr and col_idx.
+  std::uint64_t plan_id() const { return plan_id_; }
+
  private:
   friend class CsrAssembler;
 
@@ -67,31 +74,72 @@ class CsrMatrix {
   std::vector<std::size_t> row_ptr_;
   std::vector<std::size_t> col_idx_;
   std::vector<double> values_;
+  std::uint64_t plan_id_ = 0;
 };
 
-// Reusable builder -> CSR assembly plan.
+// The value side of a planned stamp sequence: stamp k is added straight
+// into its CSR value slot, in stamp order.  CsrAssembler::stream() hands
+// one out over a zero-filled matrix.  Stamps beyond the plan's count are
+// counted but dropped, so CsrAssembler::complete() can reject the pass.
+class CsrStream {
+ public:
+  void add(double value) {
+    if (next_ < count_) values_[slot_[next_]] += value;
+    ++next_;
+  }
+  std::size_t stamps() const { return next_; }
+
+ private:
+  friend class CsrAssembler;
+  CsrStream(double* values, const std::size_t* slot, std::size_t count)
+      : values_(values), slot_(slot), count_(count) {}
+
+  double* values_ = nullptr;
+  const std::size_t* slot_ = nullptr;
+  std::size_t count_ = 0;
+  std::size_t next_ = 0;
+};
+
+// A plan from a stamp (row, col) sequence to CSR value slots.
 //
-// The CsrMatrix constructor re-sorts the triplet list on every conversion.
-// MNA re-stamps the same device sequence each Newton iteration, so the
-// (row, col) position sequence is identical from one assembly to the next;
-// the assembler records the triplet -> value-slot mapping once and reduces
-// later assemblies to a zero-fill plus an accumulation pass in triplet
-// order.  Because the constructor's sort is stable, both paths accumulate
-// duplicate (row, col) stamps in the same order: `assemble()` is
-// bit-identical to constructing a fresh CsrMatrix from the same builder.
-// A builder whose position sequence changed is detected and replanned.
+// The CsrMatrix constructor sorts a triplet list stably and sums each
+// slot's duplicates from +0.0 in stamp order.  MNA re-stamps the same
+// device sequence each Newton iteration, so the assembler sorts once (a
+// plan: the CSR pattern and each stamp's slot, under a fresh plan id) and
+// later assemblies zero-fill the values and add every stamp into its slot
+// in stamp order, which gives the constructor's sums bit for bit.
+//
+// Two ways in:
+//   * assemble(builder, out) takes recorded triplets, compares their
+//     positions with the plan and replans when they differ;
+//   * stream(out) skips the triplets: the caller adds stamp k of a
+//     sequence it knows to be the planned one, and complete() checks only
+//     the count.
+// Either way `out` receives the plan's pattern only when it holds another
+// plan's (its plan id differs), not on every assembly.
 class CsrAssembler {
  public:
   // Assembles `builder` into `out`, reusing out's storage.  Returns true
   // when this call (re)planned, i.e. ran the sorting constructor.
   bool assemble(const SparseBuilder& builder, CsrMatrix& out);
 
+  // Requires planned().  Gives `out` the plan's pattern with zeroed values
+  // and returns the stream that adds the planned stamps into them.
+  CsrStream stream(CsrMatrix& out) const;
+  // True when `s` received exactly as many stamps as the plan holds.
+  bool complete(const CsrStream& s) const { return s.stamps() == slot_.size(); }
+
+  bool planned() const { return plan_id_ != 0; }
+  std::uint64_t plan_id() const { return plan_id_; }
+
  private:
   bool plan_matches(const SparseBuilder& builder) const;
   void replan(const SparseBuilder& builder, const CsrMatrix& reference);
+  // Zero-fills out's values on the plan's pattern.
+  void reset(CsrMatrix& out) const;
 
   std::size_t n_ = 0;
-  bool planned_ = false;
+  std::uint64_t plan_id_ = 0;          // 0 until the first plan
   std::vector<std::size_t> pos_row_;  // planned triplet position sequence
   std::vector<std::size_t> pos_col_;
   std::vector<std::size_t> slot_;     // triplet index -> CSR value slot

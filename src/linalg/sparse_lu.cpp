@@ -235,6 +235,7 @@ bool SparseLu::analyze(const CsrMatrix& a) {
   failed_pivot_ = kNoFailedPivot;
   non_finite_ = false;
   pattern_ = SparsityPattern::from_csr(a);
+  pattern_id_ = a.plan_id();
   if (n_ == 0) {
     analyzed_ = true;
     valid_ = true;
@@ -354,7 +355,9 @@ bool SparseLu::analyze(const CsrMatrix& a) {
 }
 
 bool SparseLu::pattern_matches(const CsrMatrix& a) const {
-  return analyzed_ && a.dimension() == pattern_.dimension() &&
+  if (!analyzed_) return false;
+  if (a.plan_id() != 0 && a.plan_id() == pattern_id_) return true;
+  return a.dimension() == pattern_.dimension() &&
          a.row_ptr() == pattern_.row_ptr() && a.col_idx() == pattern_.col_idx();
 }
 
@@ -365,6 +368,7 @@ bool SparseLu::refactor(const CsrMatrix& a) {
   if (!pattern_matches(a)) {
     throw std::invalid_argument("SparseLu::refactor: pattern mismatch");
   }
+  pattern_id_ = a.plan_id();
   valid_ = false;
   failed_pivot_ = kNoFailedPivot;
   non_finite_ = false;
@@ -428,11 +432,21 @@ bool SparseLu::refactor(const CsrMatrix& a) {
 }
 
 Vector SparseLu::solve(const Vector& b) const {
+  Vector y, x;
+  solve_with(b, y, x);
+  return x;
+}
+
+void SparseLu::solve_into(const Vector& b, Vector& x) {
+  solve_with(b, solve_work_, x);
+}
+
+void SparseLu::solve_with(const Vector& b, Vector& y, Vector& out) const {
   if (!valid_) throw std::logic_error("SparseLu::solve before factorize");
   if (b.size() != n_) throw std::invalid_argument("SparseLu::solve rhs size");
 
   // y = P b
-  Vector y(n_);
+  y.resize(n_);
   for (std::size_t orig = 0; orig < n_; ++orig) y[pinv_[orig]] = b[orig];
 
   // Forward solve L y' = y (unit diagonal stored first in each column).
@@ -454,9 +468,8 @@ Vector SparseLu::solve(const Vector& b) const {
     }
   }
   // Undo the column permutation (identity for factorize()).
-  Vector out(n_);
+  out.resize(n_);
   for (std::size_t k = 0; k < n_; ++k) out[cperm_[k]] = y[k];
-  return out;
 }
 
 std::optional<Vector> solve_sparse(const CsrMatrix& a, const Vector& b) {

@@ -22,6 +22,7 @@
 // which keeps the dense LU's partial pivoting bit for bit.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 
 #include "linalg/lu.h"
@@ -56,11 +57,17 @@ class SparseLu {
   bool refactor(const CsrMatrix& a);
 
   bool analyzed() const { return analyzed_; }
+  // True when `a` has the analyzed pattern.  Compares plan ids
+  // (CsrMatrix::plan_id) first, and the pattern vectors only when the ids
+  // differ; refactor() then adopts the matching matrix's id.
   bool pattern_matches(const CsrMatrix& a) const;
   // True when the last analyze() failed for structural (topology) reasons.
   bool structurally_singular() const { return structurally_singular_; }
 
   Vector solve(const Vector& b) const;
+  // The same into `x` (resized; it must not be `b`), through scratch the
+  // LU keeps, so a solve of a size solved before allocates nothing.
+  void solve_into(const Vector& b, Vector& x);
 
   bool valid() const { return valid_; }
   std::size_t dimension() const { return n_; }
@@ -72,6 +79,9 @@ class SparseLu {
   bool non_finite() const { return non_finite_; }
 
  private:
+  // solve()'s body: `y` is scratch, `out` the result.
+  void solve_with(const Vector& b, Vector& y, Vector& out) const;
+
   std::size_t n_ = 0;
   bool valid_ = false;
   std::size_t failed_pivot_ = kNoFailedPivot;
@@ -97,12 +107,15 @@ class SparseLu {
   bool analyzed_ = false;
   bool structurally_singular_ = false;
   SparsityPattern pattern_;
+  std::uint64_t pattern_id_ = 0;  // plan id of pattern_, if known
   // Scatter plan: for factor column k, positions csc_ptr_[k]..csc_ptr_[k+1]
   // name the factor row and the index into CsrMatrix::values() of every
   // original entry of column cperm_[k].
   std::vector<std::size_t> csc_ptr_, csc_factor_row_, csc_val_pos_;
   // Numeric workspace reused across refactor() calls.
   std::vector<double> work_;
+  // solve_into()'s permuted right-hand side.
+  Vector solve_work_;
 };
 
 // One-shot convenience; picks dense or sparse by dimension.

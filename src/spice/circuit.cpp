@@ -1,5 +1,6 @@
 #include "spice/circuit.h"
 
+#include <atomic>
 #include <functional>
 #include <stdexcept>
 
@@ -8,6 +9,9 @@ namespace nvsram::spice {
 namespace {
 
 constexpr std::size_t kInitialSlots = 16;
+
+// Topology ids come from one counter, not a hash, so two can never alias.
+std::atomic<std::uint64_t> next_topology_id{1};
 
 bool is_ground_alias(std::string_view name) { return name == "gnd"; }
 
@@ -24,6 +28,7 @@ NodeId Circuit::node(const std::string& name) {
   if (index_[s] == kEmpty) {
     node_names_.push_back(name);
     index_[s] = static_cast<std::uint32_t>(node_names_.size() - 1);
+    topology_id_ = 0;
   }
   return index_[s];
 }
@@ -60,6 +65,13 @@ std::optional<std::size_t> Circuit::device_index(
   return entry & ~kDeviceTag;
 }
 
+std::uint64_t Circuit::topology_id() {
+  if (topology_id_ == 0) {
+    topology_id_ = next_topology_id.fetch_add(1, std::memory_order_relaxed);
+  }
+  return topology_id_;
+}
+
 MnaLayout Circuit::build_layout() const {
   MnaLayout layout(node_count());
   for (const auto& dev : devices_) {
@@ -80,6 +92,7 @@ void Circuit::adopt(std::unique_ptr<Device> dev) {
   }
   devices_.push_back(std::move(dev));
   index_[s] = kDeviceTag | static_cast<std::uint32_t>(devices_.size() - 1);
+  topology_id_ = 0;
 }
 
 std::size_t Circuit::slot(std::string_view name, std::uint32_t tag) const {

@@ -51,6 +51,13 @@ class Circuit {
   // Builds the unknown layout (node voltages + device branches).
   MnaLayout build_layout() const;
 
+  // Names the circuit's current topology: a process-unique id, drawn on
+  // the first call after a node or a device was added, so no two
+  // circuits, and no two topologies of one circuit, share one.  A
+  // NewtonWorkspace checks its assembly plan against a circuit once per id
+  // (spice/newton.h).
+  std::uint64_t topology_id();
+
   // ---- fault injection (tests / resilience drills) ----
   // An attached plan is consulted by every Newton solve on this circuit;
   // see spice/fault.h for the trigger semantics.
@@ -78,6 +85,7 @@ class Circuit {
   std::vector<std::string> node_names_;
   std::vector<std::unique_ptr<Device>> devices_;
   std::vector<std::uint32_t> index_;
+  std::uint64_t topology_id_ = 0;  // 0: not drawn since the last addition
   std::optional<FaultPlan> fault_plan_;
 };
 

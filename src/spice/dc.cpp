@@ -55,6 +55,8 @@ Waveform DCSweep::run() {
   Waveform wave(std::move(labels));
 
   std::optional<linalg::Vector> warm;
+  std::vector<double> values;
+  values.reserve(probes_.size());
   // One analysis for the whole sweep: the topology (and so the sparsity
   // pattern) is fixed, so every point after the first reuses the symbolic
   // LU analysis alongside the warm-started iterate.
@@ -67,13 +69,12 @@ Waveform DCSweep::run() {
                             std::to_string(point),
                         dc.last_diagnostics());
     }
-    warm = sol->raw();
-    std::vector<double> values;
-    values.reserve(probes_.size());
+    values.clear();
     for (const auto& p : probes_) {
       values.push_back(evaluate_probe(p, sol->view(), 0.0, 0.0));
     }
     wave.append(point, values);
+    warm = std::move(*sol).raw();
   }
   return wave;
 }

@@ -32,7 +32,8 @@ class DCSolution {
   SolutionView view() const { return SolutionView(x_, layout_); }
   double node_voltage(NodeId n) const { return view().node_voltage(n); }
   double device_current(const Device& d) const { return d.current(view()); }
-  const linalg::Vector& raw() const { return x_; }
+  const linalg::Vector& raw() const& { return x_; }
+  linalg::Vector raw() && { return std::move(x_); }
   const MnaLayout& layout() const { return layout_; }
 
  private:

@@ -118,14 +118,27 @@ class SolutionView {
 };
 
 // Everything a device needs to stamp one Newton iteration.
+//
+// Matrix stamps go one of two ways.  A recording context appends each as
+// a (row, col, value) triplet to a SparseBuilder: how an assembly plan is
+// made or checked, and how a non-finite stamp is traced to its device.  A
+// streaming context adds stamp k straight into the k-th planned value slot
+// (linalg::CsrStream) and never looks at its position, which is why
+// Device::stamp must repeat stamp_pattern's positions exactly.
 class StampContext {
  public:
   StampContext(const MnaLayout& layout, const linalg::Vector& x,
                linalg::SparseBuilder& mat, linalg::Vector& rhs, double time,
                double dt, bool dc, IntegrationMethod method,
                double source_scale)
-      : layout_(layout), x_(x), mat_(mat), rhs_(rhs), time_(time), dt_(dt),
-        dc_(dc), method_(method), source_scale_(source_scale) {}
+      : StampContext(layout, x, &mat, nullptr, rhs, time, dt, dc, method,
+                     source_scale) {}
+  StampContext(const MnaLayout& layout, const linalg::Vector& x,
+               linalg::CsrStream& mat, linalg::Vector& rhs, double time,
+               double dt, bool dc, IntegrationMethod method,
+               double source_scale)
+      : StampContext(layout, x, nullptr, &mat, rhs, time, dt, dc, method,
+                     source_scale) {}
 
   double node_voltage(NodeId n) const {
     return n == kGround ? 0.0 : x_[layout_.node_index(n)];
@@ -141,18 +154,18 @@ class StampContext {
   // ---- raw stamps (ground rows/columns silently dropped) ----
   void mat_nn(NodeId r, NodeId c, double v) {
     if (r == kGround || c == kGround) return;
-    mat_.add(layout_.node_index(r), layout_.node_index(c), v);
+    add(layout_.node_index(r), layout_.node_index(c), v);
   }
   void mat_nb(NodeId r, std::size_t branch, double v) {
     if (r == kGround) return;
-    mat_.add(layout_.node_index(r), branch, v);
+    add(layout_.node_index(r), branch, v);
   }
   void mat_bn(std::size_t branch, NodeId c, double v) {
     if (c == kGround) return;
-    mat_.add(branch, layout_.node_index(c), v);
+    add(branch, layout_.node_index(c), v);
   }
   void mat_bb(std::size_t row_branch, std::size_t col_branch, double v) {
-    mat_.add(row_branch, col_branch, v);
+    add(row_branch, col_branch, v);
   }
   void rhs_n(NodeId n, double v) {
     if (n == kGround) return;
@@ -176,9 +189,26 @@ class StampContext {
   }
 
  private:
+  StampContext(const MnaLayout& layout, const linalg::Vector& x,
+               linalg::SparseBuilder* record, linalg::CsrStream* stream,
+               linalg::Vector& rhs, double time, double dt, bool dc,
+               IntegrationMethod method, double source_scale)
+      : layout_(layout), x_(x), record_(record), stream_(stream), rhs_(rhs),
+        time_(time), dt_(dt), dc_(dc), method_(method),
+        source_scale_(source_scale) {}
+
+  void add(std::size_t row, std::size_t col, double v) {
+    if (stream_ != nullptr) {
+      stream_->add(v);
+    } else {
+      record_->add(row, col, v);
+    }
+  }
+
   const MnaLayout& layout_;
   const linalg::Vector& x_;
-  linalg::SparseBuilder& mat_;
+  linalg::SparseBuilder* record_;  // exactly one of these two is set
+  linalg::CsrStream* stream_;
   linalg::Vector& rhs_;
   double time_;
   double dt_;
@@ -265,6 +295,14 @@ class Device {
   virtual void reserve(MnaLayout&) {}
 
   // Load the linearized companion model for the current iterate.
+  //
+  // The matrix stamps must be exactly the (row, col) sequence that
+  // stamp_pattern() records for the same analysis kind (ctx.dc()), in the
+  // same order, whatever the iterate, time, step, source scale or device
+  // state: a warm NewtonWorkspace adds stamp k into the k-th slot of the
+  // plan it verified once for the circuit's topology, without looking at
+  // the position (StampContext).  DeviceStampPattern.* in
+  // tests/test_spice_elements.cpp pins this for every device kind.
   virtual void stamp(StampContext& ctx) = 0;
 
   // Record the matrix positions stamp() can ever touch for this analysis

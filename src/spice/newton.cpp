@@ -64,7 +64,9 @@ NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
 
   linalg::SparseBuilder& builder = ws.builder;
   linalg::Vector& rhs = ws.rhs;
+  linalg::Vector& solved = ws.solution;
   builder.resize(n);
+  ws.iterate.resize(n);
   NewtonResult result;
   SolveDiagnostics& diag = result.diagnostics;
   diag.time = time;
@@ -90,66 +92,95 @@ NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
   const bool stalled =
       faults && faults->fires(FaultKind::kStall, solve_index);
 
+  const std::uint64_t topology = circuit.topology_id();
+  // The iterate the devices stamp at: the initial guess, then ws.iterate,
+  // so `x` keeps the guess unless the solve converges.
+  const linalg::Vector* xk = &x;
   for (int iter = 1; iter <= opts.max_iterations; ++iter) {
     result.iterations = iter;
     diag.iterations = iter;
-    builder.clear();
     rhs.assign(n, 0.0);
 
-    StampContext ctx(layout, x, builder, rhs, time, dt, dc, method,
-                     opts.source_scale);
-    bool first_device = true;
-    for (const auto& dev : circuit.devices()) {
-      const std::size_t mark = builder.triplets().size();
-      dev->stamp(ctx);
-      if (faults) {
-        if (const FaultSpec* f =
-                faults->stamp_fault(solve_index, dev->name(), first_device)) {
-          (void)f;
+    // Streamed pass, once the plan is checked for this topology and kind.
+    bool assembled = false;
+    if (ws.plan_topology == topology && ws.plan_dc == dc) {
+      linalg::CsrStream stream = ws.assembler.stream(ws.matrix);
+      StampContext ctx(layout, *xk, stream, rhs, time, dt, dc, method,
+                       opts.source_scale);
+      bool poisoned = false;
+      bool first_device = true;
+      for (const auto& dev : circuit.devices()) {
+        dev->stamp(ctx);
+        if (faults &&
+            faults->stamp_fault(solve_index, dev->name(), first_device)) {
+          poisoned = true;
+        }
+        first_device = false;
+      }
+      for (std::size_t i = 0; i < node_unknowns; ++i) stream.add(opts.gmin);
+      assembled = !poisoned && ws.assembler.complete(stream) &&
+                  first_non_finite(ws.matrix.values()) == kNpos &&
+                  first_non_finite(rhs) == kNpos;
+      if (!assembled) rhs.assign(n, 0.0);
+    }
+
+    // Recorded pass: plans or checks the plan, and names what is not finite.
+    if (!assembled) {
+      builder.clear();
+      StampContext ctx(layout, *xk, builder, rhs, time, dt, dc, method,
+                       opts.source_scale);
+      bool first_device = true;
+      for (const auto& dev : circuit.devices()) {
+        const std::size_t mark = builder.triplets().size();
+        dev->stamp(ctx);
+        if (faults &&
+            faults->stamp_fault(solve_index, dev->name(), first_device)) {
           builder.add(0, 0, std::numeric_limits<double>::quiet_NaN());
           diag.injected = true;
         }
-      }
-      // Non-finite stamp guard: check only this device's new entries so the
-      // culprit is attributed by name.
-      const auto& trips = builder.triplets();
-      for (std::size_t i = mark; i < trips.size(); ++i) {
-        if (!std::isfinite(trips[i].value)) {
-          diag.non_finite = NonFiniteSite::kStamp;
-          diag.non_finite_device = dev->name();
-          util::log_warn() << "newton: non-finite stamp from device '"
-                           << dev->name() << "' at t=" << time;
-          name_worst();
-          return result;
+        // Non-finite stamp guard: check only this device's new entries so
+        // the culprit is attributed by name.
+        const auto& trips = builder.triplets();
+        for (std::size_t i = mark; i < trips.size(); ++i) {
+          if (!std::isfinite(trips[i].value)) {
+            diag.non_finite = NonFiniteSite::kStamp;
+            diag.non_finite_device = dev->name();
+            util::log_warn() << "newton: non-finite stamp from device '"
+                             << dev->name() << "' at t=" << time;
+            name_worst();
+            return result;
+          }
         }
+        first_device = false;
       }
-      first_device = false;
-    }
-    if (const std::size_t bad = first_non_finite(rhs); bad != kNpos) {
-      diag.non_finite = NonFiniteSite::kRhs;
-      worst = bad;
-      name_worst();
-      util::log_warn() << "newton: non-finite RHS at '" << diag.worst_node
-                       << "', t=" << time;
-      return result;
-    }
-    // gmin from every node to ground: keeps floating nodes and cut-off FET
-    // stacks numerically nonsingular.
-    for (std::size_t i = 0; i < node_unknowns; ++i) {
-      builder.add(i, i, opts.gmin);
+      if (const std::size_t bad = first_non_finite(rhs); bad != kNpos) {
+        diag.non_finite = NonFiniteSite::kRhs;
+        worst = bad;
+        name_worst();
+        util::log_warn() << "newton: non-finite RHS at '" << diag.worst_node
+                         << "', t=" << time;
+        return result;
+      }
+      // gmin from every node to ground: keeps floating nodes and cut-off
+      // FET stacks numerically nonsingular.
+      for (std::size_t i = 0; i < node_unknowns; ++i) {
+        builder.add(i, i, opts.gmin);
+      }
+      if (ws.assembler.assemble(builder, ws.matrix)) ws.plan_count++;
+      ws.plan_topology = topology;
+      ws.plan_dc = dc;
     }
 
-    if (ws.assembler.assemble(builder, ws.matrix)) ws.plan_count++;
     const linalg::CsrMatrix& a = ws.matrix;
-    std::optional<linalg::Vector> solved;
+    bool ok = false;
     if (n <= linalg::kDenseCutoff) {
       // Cell path: the dense LU's pivots and rounding, replayed on the
       // nonzeros; the dense LU itself runs only to (re)plan the pivots.
       linalg::PlannedLu& lu = ws.planned_lu;
-      const bool ok = lu.factorize(a);
+      ok = lu.factorize(a);
       if (lu.replanned()) ws.pivot_plan_count++;
       if (ok) {
-        solved = lu.solve(rhs);
+        lu.solve_into(rhs, solved);
         diag.structure = StructuralVerdict::kSound;
       } else {
         diag.singular_pivot = lu.failed_pivot();
@@ -159,8 +190,7 @@ NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
           // A full-pivot-search failure: ask whether the pattern itself can
           // ever be nonsingular, so the diagnosis points at topology or at
           // values, not just "singular".
-          const auto pattern =
-              linalg::SparsityPattern::from_triplets(n, builder.triplets());
+          const auto pattern = linalg::SparsityPattern::from_csr(a);
           diag.structure = linalg::maximum_matching(pattern).perfect(n)
                                ? StructuralVerdict::kSound
                                : StructuralVerdict::kSingular;
@@ -170,7 +200,6 @@ NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
       // Sparse path: KLU-style analyze (symbolic, pattern-only) once per
       // pattern, then refactor (numeric) on every iteration.
       linalg::SparseLu& lu = ws.sparse_lu;
-      bool ok = false;
       bool analyzed = lu.analyzed() && lu.pattern_matches(a);
       if (!analyzed) {
         analyzed = lu.analyze(a);
@@ -190,13 +219,13 @@ NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
         diag.structure = StructuralVerdict::kSingular;
       }
       if (ok) {
-        solved = lu.solve(rhs);
+        lu.solve_into(rhs, solved);
       } else {
         diag.singular_pivot = lu.failed_pivot();
         if (lu.non_finite()) diag.non_finite = NonFiniteSite::kFactor;
       }
     }
-    if (!solved) {
+    if (!ok) {
       result.singular = diag.non_finite == NonFiniteSite::kNone;
       diag.singular = result.singular;
       if (diag.singular_pivot != SolveDiagnostics::kNoPivot) {
@@ -210,7 +239,7 @@ NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
                        << " (structure=" << to_string(diag.structure) << ")";
       return result;
     }
-    if (const std::size_t bad = first_non_finite(*solved); bad != kNpos) {
+    if (const std::size_t bad = first_non_finite(solved); bad != kNpos) {
       diag.non_finite = NonFiniteSite::kSolution;
       worst = bad;
       name_worst();
@@ -221,15 +250,16 @@ NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
 
     // Convergence check on the raw update; tracks the worst offender (by
     // how far it exceeds its tolerance budget) for diagnostics.
+    const linalg::Vector& xi = *xk;
     bool converged = true;
     double worst_ratio = 0.0;
     std::size_t worst_index = kNpos;
     double worst_delta = 0.0, worst_tol = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      const double delta = std::fabs((*solved)[i] - x[i]);
+      const double delta = std::fabs(solved[i] - xi[i]);
       const double abstol = (i < node_unknowns) ? opts.abstol_v : opts.abstol_i;
-      const double tol = abstol + opts.reltol * std::max(std::fabs((*solved)[i]),
-                                                         std::fabs(x[i]));
+      const double tol = abstol + opts.reltol * std::max(std::fabs(solved[i]),
+                                                         std::fabs(xi[i]));
       if (delta > tol) converged = false;
       const double ratio = tol > 0.0 ? delta / tol : 0.0;
       if (ratio > worst_ratio) {
@@ -245,7 +275,7 @@ NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
       diag.worst_tol = worst_tol;
     }
     if (converged && !stalled) {
-      x = std::move(*solved);
+      x.swap(solved);
       result.converged = true;
       diag.converged = true;
       name_worst();
@@ -253,15 +283,17 @@ NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
     }
 
     // Damped update: limit node-voltage moves to kVoltageLimit.
+    linalg::Vector& next = ws.iterate;
     for (std::size_t i = 0; i < n; ++i) {
-      double next = (*solved)[i];
+      double v = solved[i];
       if (i < node_unknowns) {
-        const double delta = next - x[i];
-        if (delta > kVoltageLimit) next = x[i] + kVoltageLimit;
-        if (delta < -kVoltageLimit) next = x[i] - kVoltageLimit;
+        const double delta = v - xi[i];
+        if (delta > kVoltageLimit) v = xi[i] + kVoltageLimit;
+        if (delta < -kVoltageLimit) v = xi[i] - kVoltageLimit;
       }
-      x[i] = next;
+      next[i] = v;
     }
+    xk = &next;
   }
   if (stalled) diag.injected = true;
   name_worst();
@@ -276,18 +308,18 @@ NewtonResult solve_newton_with_recovery(Circuit& circuit,
                                         const NewtonOptions& opts,
                                         NewtonWorkspace& ws,
                                         const util::Deadline* deadline) {
-  const linalg::Vector x0 = x;
-
   NewtonResult plain =
       solve_newton(circuit, layout, x, time, dt, dc, method, opts, ws);
   if (plain.converged) return plain;
   if (deadline) deadline->check("recovery ladder");
+  // The failed solve left `x` at the start point, and each rung below works
+  // on its own copy, so `x` changes only when a rung succeeds.
 
   // ---- stage 1: gmin ramp ----
   // Solve a heavily loaded (kGminStart to ground everywhere) system, then
   // relax the loading rung by rung, warm-starting each rung from the last.
   {
-    linalg::Vector attempt = x0;
+    linalg::Vector attempt = x;
     NewtonOptions rung_opts = opts;
     bool ladder_ok = true;
     NewtonResult rung;
@@ -320,7 +352,7 @@ NewtonResult solve_newton_with_recovery(Circuit& circuit,
   // Ramp every independent source up to the requested scale, from a zero
   // vector (DC) or from the last accepted timepoint (transient salvage).
   {
-    linalg::Vector attempt = dc ? linalg::Vector(x0.size(), 0.0) : x0;
+    linalg::Vector attempt = dc ? linalg::Vector(x.size(), 0.0) : x;
     NewtonOptions ramp_opts = opts;
     bool ramp_ok = true;
     NewtonResult rung;
@@ -347,7 +379,6 @@ NewtonResult solve_newton_with_recovery(Circuit& circuit,
   }
 
   plain.diagnostics.stage = RecoveryStage::kExhausted;
-  x = x0;
   return plain;
 }
 

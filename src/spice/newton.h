@@ -11,6 +11,8 @@
 // SolveDiagnostics instead of propagating garbage iterates.
 #pragma once
 
+#include <cstdint>
+
 #include "linalg/lu.h"
 #include "linalg/sparse.h"
 #include "linalg/sparse_lu.h"
@@ -35,31 +37,48 @@ struct NewtonOptions {
   NewtonOptions relaxed(int attempt) const;
 };
 
-// Everything a Newton solve writes besides its result: the stamp list and
-// RHS that each iteration clears and refills, the CSR assembly plan with
-// the matrix it fills, and the LU factorizations (linalg::PlannedLu at or
-// below linalg::kDenseCutoff unknowns, SparseLu above it).
+// Everything a Newton solve writes besides its result: the RHS and CSR
+// matrix each iteration refills, the assembly plan behind the matrix, the
+// LU factorizations (linalg::PlannedLu at or below linalg::kDenseCutoff
+// unknowns, SparseLu above it), the LU's solution and the damped iterate.
+// One analysis keeps one workspace across all its solves; once warm, an
+// iteration allocates nothing.
 //
-// Devices stamp the same (row, col) sequence on every iteration of a fixed
-// topology, so the assembler sorts the stamps into CSR once (a "plan") and
-// every later assembly is one accumulation pass over the stamps, which is
-// bit-identical to the sort.  At cell size PlannedLu runs the partially
-// pivoted dense LU once and records its pivot sequence; later
-// factorizations replay that elimination on the nonzeros, bit for bit, and
-// only a pivot sequence that no longer verifies runs the dense LU again.
-// Above the cutoff SparseLu analyzes the pattern once and later solves only
-// refactor (KLU-style).  A changed stamp sequence replans and a changed
-// pattern re-plans the pivots or re-analyzes, so results never depend on
-// what the workspace held before.  One analysis keeps one workspace across
-// all its solves; the counters make that reuse observable in tests and
-// benches.
+// Assembly.  Devices stamp the same (row, col) sequence on every iteration
+// of a fixed topology and analysis kind (Device::stamp).  So the workspace
+// records the stamps as triplets only when the circuit's topology_id() or
+// the dc flag differs from the pair its plan was last checked against: the
+// assembler then compares the positions with its plan once, keeping the
+// plan when they match (same-topology circuits share it) and sorting the
+// stamps into a new one when they do not.  Every other iteration streams
+// stamp k straight into the plan's k-th value slot (linalg::CsrStream),
+// which sums each slot from +0.0 in stamp order, bit for bit as the
+// sorting CsrMatrix constructor does.  A streamed pass whose stamp count
+// misses the plan, or whose matrix or RHS holds a non-finite value, is
+// stamped again in recording mode, which replans or names the culprit
+// device exactly as a recorded pass does.
+//
+// Factorization.  At cell size PlannedLu runs the partially pivoted dense
+// LU once and records its pivot sequence; later factorizations replay that
+// elimination on the nonzeros, bit for bit, and only a pivot sequence that
+// no longer verifies runs the dense LU again.  Above the cutoff SparseLu
+// analyzes the pattern once and later solves only refactor (KLU-style).
+// Both tell a known pattern by the matrix's plan id.  So results never
+// depend on what the workspace held before; the counters make the reuse
+// observable in tests and benches.
 struct NewtonWorkspace {
-  linalg::SparseBuilder builder;
+  linalg::SparseBuilder builder;  // the recorded stamps, on recording passes
   linalg::Vector rhs;
   linalg::CsrAssembler assembler;
   linalg::CsrMatrix matrix;
   linalg::PlannedLu planned_lu;
   linalg::SparseLu sparse_lu;
+  linalg::Vector solution;  // the LU's solution of the last iteration
+  linalg::Vector iterate;   // the damped iterate, from the second iteration
+  // The topology and analysis kind the plan was last checked against (0:
+  // none yet); while a solve's circuit and dc flag match them, stamps stream.
+  std::uint64_t plan_topology = 0;
+  bool plan_dc = false;
   std::size_t plan_count = 0;        // CSR assembly (re)plans: stamp sorts
   std::size_t pivot_plan_count = 0;  // dense LU runs that (re)planned pivots
   std::size_t analyze_count = 0;     // symbolic analyses performed
@@ -80,8 +99,9 @@ std::string unknown_name(const Circuit& circuit, const MnaLayout& layout,
                          std::size_t index);
 
 // Solves the system at (time, dt); `x` carries the initial guess in and the
-// solution out.  `dc` selects the operating-point companion (capacitors
-// open).  Branch unknown indices start at layout.node_count()-1.
+// solution out, and keeps the initial guess when the solve fails.  `dc`
+// selects the operating-point companion (capacitors open).  Branch unknown
+// indices start at layout.node_count()-1.
 // Pass the same `ws` to every solve on one circuit: only the first then
 // plans the assembly and analyzes the pattern.  A fresh workspace and one
 // already planned (for this circuit or another) give bit-identical results.
@@ -98,8 +118,8 @@ NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
 // source scale; the rungs are constants in newton.cpp.  A DC solve ramps
 // the sources from a zero vector, a transient one from `x` as passed in,
 // the last accepted timepoint.  On success the returned diagnostics record
-// the stage that produced the solution; on failure `x` is restored, the
-// stage is kExhausted and the diagnostics describe the original
+// the stage that produced the solution; on failure `x` keeps its value,
+// the stage is kExhausted and the diagnostics describe the original
 // (unrecovered) failure.  Iteration counts accumulate across all attempted
 // rungs.
 //

@@ -128,6 +128,9 @@ Waveform TranAnalysis::run(const DCSolution* initial) {
   linalg::Vector x_prev = x;
   double t_prev = 0.0;
   bool have_history = false;
+  // Each step's predictor and Newton iterate, reused from step to step.
+  linalg::Vector x_pred(x.size());
+  linalg::Vector x_new(x.size());
 
   double dt = std::min(options_.dt_initial, dt_max);
   const std::size_t node_unknowns = layout_.node_count() - 1;
@@ -146,7 +149,7 @@ Waveform TranAnalysis::run(const DCSolution* initial) {
     dt_try = std::min(dt_try, options_.t_stop - t);
 
     // Predictor: linear extrapolation of the last two accepted solutions.
-    linalg::Vector x_pred = x;
+    x_pred = x;
     if (have_history && t > t_prev) {
       const double ratio = dt_try / (t - t_prev);
       for (std::size_t i = 0; i < x.size(); ++i) {
@@ -154,7 +157,7 @@ Waveform TranAnalysis::run(const DCSolution* initial) {
       }
     }
 
-    linalg::Vector x_new = x_pred;
+    x_new = x_pred;
     NewtonResult nr =
         solve_newton(circuit_, layout_, x_new, t + dt_try, dt_try, /*dc=*/false,
                      options_.method, options_.newton, ws_);
@@ -239,13 +242,15 @@ Waveform TranAnalysis::run(const DCSolution* initial) {
       power_prev[i] = p_now;
     }
 
-    x_prev = x;
+    record(t_new, view);
+    // x_new becomes x, x becomes x_prev; x_new's next value is assigned
+    // before it is read.
+    x_prev.swap(x);
+    x.swap(x_new);
     t_prev = t;
-    x = x_new;
     t = t_new;
     have_history = true;
     ++stats_.accepted_steps;
-    record(t, view);
   }
   return wave;
 }

@@ -1,5 +1,6 @@
 #include "sram/characterize_cache.h"
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -51,11 +52,25 @@ Entry* find(const Cache& c, const Key& key) {
   return nullptr;
 }
 
+// The entry this thread is computing, if any.  characterize() peeks from
+// inside the computation (its lint gate), on the thread that holds the
+// entry's compute mutex, where even a try_lock would be undefined.
+thread_local const Entry* t_computing = nullptr;
+
 }  // namespace
 
 CellEnergetics characterize_cached(const models::PaperParams& pp,
                                    CellKind kind, double max_wall_seconds,
                                    int relax_attempt) {
+  return characterize_memoized(pp, kind, relax_attempt, [&] {
+    return CellCharacterizer(pp, max_wall_seconds, relax_attempt)
+        .characterize(kind);
+  });
+}
+
+CellEnergetics characterize_memoized(
+    const models::PaperParams& pp, CellKind kind, int relax_attempt,
+    const std::function<CellEnergetics()>& compute) {
   const Key key{pp, kind, relax_attempt};
   Cache& c = cache();
 
@@ -78,8 +93,12 @@ CellEnergetics characterize_cached(const models::PaperParams& pp,
   // Compute under the entry lock: a second thread asking for the same point
   // blocks here and finds the result ready.  If this throws (lint gate,
   // watchdog, solver), `ready` stays false and the next caller recomputes.
-  entry->value = CellCharacterizer(pp, max_wall_seconds, relax_attempt)
-                     .characterize(kind);
+  struct Computing {
+    const Entry* outer = t_computing;
+    explicit Computing(const Entry* e) { t_computing = e; }
+    ~Computing() { t_computing = outer; }
+  } computing(entry);
+  entry->value = compute();
   entry->ready = true;
   {
     std::lock_guard<std::mutex> stats(c.m);
@@ -93,10 +112,10 @@ std::optional<CellEnergetics> characterize_cache_peek(
   Cache& c = cache();
   std::lock_guard<std::mutex> lock(c.m);
   Entry* entry = find(c, Key{pp, kind, relax_attempt});
-  if (entry == nullptr) return std::nullopt;
-  // try_to_lock: if the entry is mid-compute (possibly by this very thread,
-  // when the peek comes from the lint gate inside characterize()), report a
-  // miss instead of blocking or recursing.
+  // An entry this thread is computing is a miss, told before its mutex is
+  // touched.  try_to_lock: one mid-compute on another thread is a miss too,
+  // instead of blocking.
+  if (entry == nullptr || entry == t_computing) return std::nullopt;
   std::unique_lock<std::mutex> el(entry->compute, std::try_to_lock);
   if (!el.owns_lock() || !entry->ready) return std::nullopt;
   return entry->value;

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <optional>
 
 #include "sram/characterize.h"
@@ -32,12 +33,21 @@ CellEnergetics characterize_cached(const models::PaperParams& pp,
                                    double max_wall_seconds = 0.0,
                                    int relax_attempt = 0);
 
+// The memo behind characterize_cached, with the computation given: the
+// entry for (pp, kind, relax_attempt), filled on a miss by calling
+// `compute` on this thread.  characterize_cached passes
+// CellCharacterizer::characterize; a test passes its own to look inside.
+CellEnergetics characterize_memoized(
+    const models::PaperParams& pp, CellKind kind, int relax_attempt,
+    const std::function<CellEnergetics()>& compute);
+
 // Non-computing lookup: the cached energetics for this key if a previous
 // characterize_cached() call finished them, nullopt otherwise (including
-// while another thread is mid-compute).  Never solves anything, so it is
-// safe to call from inside the lint gate that characterize() itself runs —
-// the data-redundant-store advisory peeks here for its energy figure
-// without any recursion risk.
+// while any thread is mid-compute).  Never solves or blocks, so it is safe
+// to call from inside the lint gate that characterize() itself runs: the
+// data-redundant-store advisory peeks here for its energy figure, and a
+// peek at the key its own thread is computing misses without touching the
+// entry's lock.
 std::optional<CellEnergetics> characterize_cache_peek(
     const models::PaperParams& pp, CellKind kind, int relax_attempt = 0);
 

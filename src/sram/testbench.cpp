@@ -248,9 +248,12 @@ Script::Result CellTestbench::run(std::vector<double> instants) {
   }
   const spice::TranOptions topt{.method = opts_.method,
                                 .max_wall_seconds = opts_.max_wall_seconds};
-  // bench_fig6_power_trace's CSVs print each driver's power column.
+  // Only a full waveform carries the "P:" power columns, which
+  // bench_fig6_power_trace's CSVs print; a run that names its instants
+  // reads none of them.
+  const bool probe_power = instants.empty();
   return script_.run(circuit_, std::move(probes),
-                     topt.relaxed(opts_.relax_attempt), /*probe_power=*/true,
+                     topt.relaxed(opts_.relax_attempt), probe_power,
                      std::move(instants));
 }
 

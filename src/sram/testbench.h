@@ -93,9 +93,9 @@ class CellTestbench {
 
   // ---- execution ----
   // Probes V(Q), V(QB), V(VVDD), V(BL), V(BLB), I(MTJQ) and I(MTJQB) (NV
-  // only), then each driver's power and energy.  Given `instants`, the
-  // waveform keeps only the samples that reading it there needs
-  // (Script::run); with none it keeps every sample.
+  // only), then each source's power ("P:", full waveforms only) and energy
+  // ("E:").  Given `instants`, the waveform keeps only the samples that
+  // reading it there needs (Script::run); with none it keeps every sample.
   Script::Result run(std::vector<double> instants = {});
 
   // ---- DC measurements ----

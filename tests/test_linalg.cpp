@@ -475,6 +475,103 @@ TEST(CsrAssembler, ChangedPositionSequenceReplans) {
   }
 }
 
+TEST(CsrAssembler, StreamedStampsMatchTheSortingConstructor) {
+  // A plan from one stamp list, then the values of restamped lists added
+  // one by one in stamp order through stream(): the sorting constructor's
+  // sums, bit for bit, the order-sensitive slot included.
+  for (unsigned seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const SparseBuilder first = random_stamps(12, 90, seed);
+    CsrAssembler assembler;
+    CsrMatrix out;
+    ASSERT_TRUE(assembler.assemble(first, out));
+    for (unsigned round = 1; round <= 4; ++round) {
+      const SparseBuilder b = restamped(first, 100 * seed + round);
+      CsrStream stream = assembler.stream(out);
+      for (const auto& t : b.triplets()) stream.add(t.value);
+      EXPECT_TRUE(assembler.complete(stream));
+      expect_same_csr(out, CsrMatrix(b));
+    }
+  }
+  // A stream one stamp short or one over does not complete the plan.
+  const SparseBuilder b = random_stamps(12, 90, 3);
+  CsrAssembler assembler;
+  CsrMatrix out;
+  assembler.assemble(b, out);
+  for (const std::size_t count : {b.triplets().size() - 1,
+                                  b.triplets().size() + 1}) {
+    CsrStream stream = assembler.stream(out);
+    for (std::size_t k = 0; k < count; ++k) stream.add(1.0);
+    EXPECT_FALSE(assembler.complete(stream)) << count << " stamps";
+  }
+}
+
+TEST(CsrAssembler, PlanIdsNameOnePattern) {
+  const SparseBuilder b = random_stamps(12, 90, 5);
+  EXPECT_EQ(CsrMatrix(b).plan_id(), 0u) << "only a plan gives an id";
+  CsrAssembler one;
+  CsrAssembler two;
+  EXPECT_FALSE(one.planned());
+  CsrMatrix a1;
+  CsrMatrix a2;
+  one.assemble(b, a1);
+  two.assemble(b, a2);
+  EXPECT_NE(one.plan_id(), 0u);
+  EXPECT_NE(one.plan_id(), two.plan_id()) << "ids are unique per plan";
+  EXPECT_EQ(a1.plan_id(), one.plan_id());
+  // A matrix holding another plan's pattern takes this plan's, id and all.
+  one.assemble(restamped(b, 9), a2);
+  EXPECT_EQ(a2.plan_id(), one.plan_id());
+  expect_same_csr(a2, CsrMatrix(restamped(b, 9)));
+  // A replan takes a new id.
+  const std::uint64_t old_id = one.plan_id();
+  SparseBuilder moved = b;
+  moved.add(2, 7, 1.0);
+  EXPECT_TRUE(one.assemble(moved, a1));
+  EXPECT_NE(one.plan_id(), old_id);
+  EXPECT_EQ(a1.plan_id(), one.plan_id());
+}
+
+TEST(CsrAssembler, FactorizationsComparePlanIdsThenPatterns) {
+  // Diagonally heavy stamps above and below the dense cutoff.  Each LU
+  // takes a matrix of another plan with an equal pattern (compared, then
+  // adopted) and rejects one with another pattern.
+  for (const std::size_t n : {std::size_t{12}, kDenseCutoff + 8}) {
+    SCOPED_TRACE(std::to_string(n) + " unknowns");
+    SparseBuilder b = random_stamps(n, 6 * n, 2);
+    for (std::size_t i = 0; i < n; ++i) b.add(i, i, 40.0);
+    SparseBuilder other = b;
+    other.add(0, n - 1, 0.5);
+    other.add(n - 1, 0, 0.5);
+    CsrAssembler first;
+    CsrAssembler second;
+    CsrAssembler third;
+    CsrMatrix a;
+    CsrMatrix same;
+    CsrMatrix changed;
+    first.assemble(b, a);
+    second.assemble(b, same);
+    third.assemble(other, changed);
+    ASSERT_NE(a.plan_id(), same.plan_id());
+
+    SparseLu sparse;
+    ASSERT_TRUE(sparse.analyze(a));
+    EXPECT_TRUE(sparse.pattern_matches(a));
+    EXPECT_TRUE(sparse.pattern_matches(same));
+    EXPECT_TRUE(sparse.refactor(same));
+    EXPECT_TRUE(sparse.pattern_matches(same));
+    EXPECT_FALSE(sparse.pattern_matches(changed));
+
+    PlannedLu planned;
+    ASSERT_TRUE(planned.factorize(a));
+    EXPECT_TRUE(planned.replanned());
+    ASSERT_TRUE(planned.factorize(same));
+    EXPECT_FALSE(planned.replanned()) << "an equal pattern under a new id";
+    ASSERT_TRUE(planned.factorize(changed));
+    EXPECT_TRUE(planned.replanned()) << "another pattern replans";
+  }
+}
+
 // ---- sparse LU ------------------------------------------------------------------
 
 TEST(SparseLuTest, SolvesSmallAsymmetric) {

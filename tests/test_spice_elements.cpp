@@ -7,6 +7,9 @@
 #include <iterator>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "models/finfet.h"
 #include "models/mtj.h"
@@ -326,6 +329,70 @@ TEST(DeviceKind, InlineListHoldsItsCapacityAndThrowsPastIt) {
   EXPECT_THROW((spice::TerminalList{{"a", 1}, {"b", 2}, {"c", 3}, {"d", 4}}),
                std::length_error);
   EXPECT_THROW((spice::DcPathList{{1, 2}, {3, 4}}), std::length_error);
+}
+
+// ---- stamp positions -----------------------------------------------------------
+
+// The (row, col) sequence of a builder's triplets.
+std::vector<std::pair<std::size_t, std::size_t>> positions(
+    const linalg::SparseBuilder& b) {
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  for (const auto& t : b.triplets()) out.emplace_back(t.row, t.col);
+  return out;
+}
+
+TEST(DeviceStampPattern, StampWritesExactlyThePatternPositions) {
+  // A warm NewtonWorkspace adds stamp k into the k-th planned slot without
+  // looking at its position, so every device kind must stamp exactly the
+  // sequence stamp_pattern() records: at DC and in a transient, at a small
+  // and a large iterate (the diode past its limiting knee), with the MTJs
+  // in both states and pins on ground.
+  Circuit c;
+  const auto a = c.node("a");
+  const auto b = c.node("b");
+  const auto d = c.node("d");
+  const auto g = spice::kGround;
+  c.add<spice::Resistor>("R1", a, b, 1e3);
+  c.add<spice::Resistor>("R2", b, g, 1e3);
+  c.add<spice::Capacitor>("C1", a, b, 1e-15);
+  c.add<spice::Capacitor>("C2", g, d, 1e-15);
+  c.add<spice::VSource>("V1", a, g, SourceSpec::dc(1.0));
+  c.add<spice::VSource>("V2", b, d, SourceSpec::dc(0.5));
+  c.add<spice::ISource>("I1", a, b, SourceSpec::dc(1e-6));
+  c.add<spice::Diode>("D1", a, b);
+  c.add<spice::Diode>("D2", g, d);
+  c.add<spice::MTJElement>("Y1", a, b, models::paper_mtj());
+  c.add<spice::MTJElement>("Y2", d, g, models::paper_mtj(),
+                           models::MtjState::kAntiparallel);
+  c.add<spice::FinFETElement>("M1", a, b, g, models::ptm20_nmos());
+  c.add<spice::FinFETElement>("M2", d, a, b, models::ptm20_pmos());
+  const spice::MnaLayout layout = c.build_layout();
+  const std::size_t n = layout.unknown_count();
+
+  std::set<spice::DeviceKind> kinds;
+  for (const double scale : {0.1, 2.0}) {
+    linalg::Vector x(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] = scale * (i % 2 == 0 ? 1.0 : -0.5) * static_cast<double>(i + 1);
+    }
+    for (const bool dc : {true, false}) {
+      for (const auto& dev : c.devices()) {
+        SCOPED_TRACE(dev->name() + (dc ? " at DC" : " in a transient") +
+                     ", iterate scale " + std::to_string(scale));
+        linalg::SparseBuilder stamped(n);
+        linalg::Vector rhs(n, 0.0);
+        spice::StampContext sctx(layout, x, stamped, rhs, 1e-9, 1e-12, dc,
+                                 spice::IntegrationMethod::kTrapezoidal, 1.0);
+        dev->stamp(sctx);
+        linalg::SparseBuilder patterned(n);
+        spice::PatternContext pctx(layout, patterned, dc);
+        dev->stamp_pattern(pctx);
+        EXPECT_EQ(positions(stamped), positions(patterned));
+        kinds.insert(dev->kind());
+      }
+    }
+  }
+  EXPECT_EQ(kinds.size(), 7u) << "every device kind is covered";
 }
 
 }  // namespace

@@ -592,6 +592,63 @@ TEST(NewtonWorkspace, NewTopologyReplansAndMatchesFresh) {
   }
 }
 
+TEST(NewtonWorkspace, CircuitThatGainsADeviceReplansAndMatchesFresh) {
+  // A workspace warm on a circuit, which then gains a device: the new
+  // topology id makes the next solve record its stamps, find them off the
+  // plan and replan, and the solve is bit-identical to one on a fresh
+  // workspace.  Warm solves before the change stream: they record nothing.
+  sram::CellTestbench cell_a(sram::CellKind::kNvSram, PaperParams::table1());
+  sram::CellTestbench cell_b(sram::CellKind::kNvSram, PaperParams::table1());
+  auto array_a = make_array_bench();
+  auto array_b = make_array_bench();
+  const std::pair<Circuit*, Circuit*> cases[] = {
+      {&cell_a.circuit(), &cell_b.circuit()},
+      {&array_a.circuit(), &array_b.circuit()}};
+  const spice::NewtonOptions opts;
+  for (const auto& [warm_circuit, fresh_circuit] : cases) {
+    spice::NewtonWorkspace ws;
+    const spice::MnaLayout before = warm_circuit->build_layout();
+    SCOPED_TRACE(std::to_string(before.unknown_count()) + " unknowns");
+    linalg::Vector op(before.unknown_count(), 0.0);
+    ASSERT_TRUE(spice::solve_newton_with_recovery(
+                    *warm_circuit, before, op, 0.0, 0.0, /*dc=*/true,
+                    spice::IntegrationMethod::kBackwardEuler, opts, ws)
+                    .converged);
+    const std::size_t plans = ws.plan_count;
+    ws.builder.clear();
+    linalg::Vector again = op;
+    ASSERT_TRUE(spice::solve_newton(*warm_circuit, before, again, 0.0, 0.0,
+                                    /*dc=*/true,
+                                    spice::IntegrationMethod::kBackwardEuler,
+                                    opts, ws)
+                    .converged);
+    EXPECT_TRUE(ws.builder.triplets().empty()) << "a warm solve streams";
+    EXPECT_EQ(ws.plan_count, plans);
+
+    for (Circuit* c : {warm_circuit, fresh_circuit}) {
+      c->add<spice::Resistor>("Rextra", c->find_node(c->node_name(1)),
+                              spice::kGround, 1e5);
+    }
+    const spice::MnaLayout warm_layout = warm_circuit->build_layout();
+    const spice::MnaLayout fresh_layout = fresh_circuit->build_layout();
+    linalg::Vector x_warm = op;
+    linalg::Vector x_fresh = op;
+    spice::NewtonWorkspace fresh;
+    const auto r_warm = spice::solve_newton(
+        *warm_circuit, warm_layout, x_warm, 0.0, 0.0, /*dc=*/true,
+        spice::IntegrationMethod::kBackwardEuler, opts, ws);
+    const auto r_fresh = spice::solve_newton(
+        *fresh_circuit, fresh_layout, x_fresh, 0.0, 0.0, /*dc=*/true,
+        spice::IntegrationMethod::kBackwardEuler, opts, fresh);
+    ASSERT_TRUE(r_fresh.converged);
+    EXPECT_EQ(r_warm.converged, r_fresh.converged);
+    EXPECT_EQ(r_warm.iterations, r_fresh.iterations);
+    EXPECT_EQ(x_warm, x_fresh);
+    EXPECT_EQ(ws.plan_count, plans + 1) << "a new topology must replan";
+    EXPECT_EQ(fresh.plan_count, 1u);
+  }
+}
+
 TEST(NewtonWorkspace, StructuralVerdictSoundOnNumericFailure) {
   // Injected singular fault on a sound circuit: the diagnostics must say
   // "structurally sound" so the failure reads as a value problem.

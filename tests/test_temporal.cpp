@@ -515,6 +515,27 @@ TEST(CharacterizeCache, SecondCallIsAHit) {
   sram::characterize_cache_clear();
 }
 
+TEST(CharacterizeCache, PeekFromInsideTheComputationMisses) {
+  // characterize()'s lint gate peeks at the key its own thread is
+  // computing, whose entry lock that thread holds: the peek must miss
+  // without touching the lock.  Once the computation is done it hits.
+  sram::characterize_cache_clear();
+  const models::PaperParams pp;
+  sram::CellEnergetics computed;
+  computed.e_store = 1.25e-15;
+  std::optional<std::optional<sram::CellEnergetics>> inside;
+  sram::characterize_memoized(pp, sram::CellKind::kNvSram, 0, [&] {
+    inside = sram::characterize_cache_peek(pp, sram::CellKind::kNvSram);
+    return computed;
+  });
+  ASSERT_TRUE(inside.has_value()) << "the computation ran";
+  EXPECT_FALSE(inside->has_value());
+  const auto after = sram::characterize_cache_peek(pp, sram::CellKind::kNvSram);
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->e_store, computed.e_store);
+  sram::characterize_cache_clear();
+}
+
 TEST(CharacterizeCache, HitsOnlyOnTheExactKey) {
   using models::MTJParams;
   using models::PaperParams;

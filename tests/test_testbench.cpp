@@ -195,6 +195,32 @@ TEST(Testbench, EnergyWindowsPartitionTotal) {
   EXPECT_EQ(res.wave.labels(), columns);
 }
 
+TEST(Testbench, RunAtInstantsProbesNoSourcePower) {
+  // A run that names its instants keeps the energy columns and drops the
+  // power ones, which only a full waveform prints; the energies match the
+  // full run's bit for bit.
+  const auto schedule = [](CellTestbench& tb) {
+    tb.op_write(true);
+    tb.op_read();
+  };
+  CellTestbench full_tb(CellKind::k6T, PaperParams::table1());
+  schedule(full_tb);
+  const auto full = full_tb.run();
+  CellTestbench thin_tb(CellKind::k6T, PaperParams::table1());
+  schedule(thin_tb);
+  const auto& rd = full.phase("read");
+  const auto thin = thin_tb.run({rd.t0, rd.t1});
+
+  const std::vector<std::string> columns = {
+      "V(Q)",   "V(QB)",  "V(VVDD)", "V(BL)",  "V(BLB)", "E:Vvdd", "E:Vpg",
+      "E:Vwl",  "E:Vpch", "E:Vwd0",  "E:Vwd1"};
+  EXPECT_EQ(thin.wave.labels(), columns);
+  for (const auto& label : thin.wave.labels()) {
+    EXPECT_NE(label.rfind("P:", 0), 0u) << label;
+  }
+  EXPECT_EQ(thin.energy(thin.phase("read")), full.energy(rd));
+}
+
 TEST(Testbench, EnergyIsPositiveForActiveOps) {
   CellTestbench tb(CellKind::kNvSram, PaperParams::table1());
   tb.op_write(true);
